@@ -12,9 +12,8 @@
 // speedups.
 //
 // The parallel grid (-parallel) is the sharded-engine worker-count series:
-// the kd acceptance cell and the large-k StaleBatch cell at
-// Shards = 1, 2, 4, 8, each point reporting its speedup against the
-// serial baseline, plus the GOMAXPROCS the box offered (on a single-CPU
+// the kd acceptance cell at Shards = 1, 2, 4, 8, each point reporting its
+// speedup against the serial baseline, plus the GOMAXPROCS the box offered (on a single-CPU
 // host the series measures engine overhead, not scaling — the honest
 // reading there is parity or below).
 //
@@ -207,7 +206,6 @@ func grid(quick bool) []cell {
 		{Bins: n, Seed: 1, Policy: kdchoice.SingleChoice},
 		{Bins: n, Beta: 0.5, Seed: 1, Policy: kdchoice.OnePlusBeta},
 		{Bins: n, K: 8, D: 2, Seed: 1, Policy: kdchoice.StaleBatch},
-		{Bins: n, K: 256, D: 2, Seed: 1, Policy: kdchoice.StaleBatch, Shards: 4},
 	}
 	cells := make([]cell, len(configs))
 	for i, cfg := range configs {
@@ -1048,25 +1046,18 @@ type parallelReport struct {
 }
 
 // parallelGrid returns the worker-count series: the kd acceptance cell
-// (staleness-trading superstep) and the large-k StaleBatch cell (exact
-// sharding) at Shards = 1, 2, 4, 8 each. The Shards=1 row of each series
-// is the serial baseline its speedups are computed against.
-func parallelGrid(quick bool) [][]cell {
+// (staleness-trading superstep) at Shards = 1, 2, 4, 8. The Shards=1 row
+// is the serial baseline the speedups are computed against. StaleBatch has
+// no series: it runs its serial round at any Shards.
+func parallelGrid(quick bool) []cell {
 	n := 100000
 	if quick {
 		n = 2048
 	}
-	bases := []kdchoice.Config{
-		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice},
-		{Bins: n, K: 256, D: 2, Seed: 1, Policy: kdchoice.StaleBatch},
-	}
-	series := make([][]cell, len(bases))
-	for i, base := range bases {
-		for _, p := range []int{1, 2, 4, 8} {
-			cfg := base
-			cfg.Shards = p
-			series[i] = append(series[i], cell{Name: cellName(cfg), Cfg: cfg})
-		}
+	var series []cell
+	for _, p := range []int{1, 2, 4, 8} {
+		cfg := kdchoice.Config{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Shards: p}
+		series = append(series, cell{Name: cellName(cfg), Cfg: cfg})
 	}
 	return series
 }
@@ -1081,27 +1072,25 @@ func runParallel(quick bool, outPath string, out io.Writer) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	fmt.Fprintf(out, "gomaxprocs=%d\n", rep.GOMAXPROCS)
-	for _, series := range parallelGrid(quick) {
-		var baseline float64
-		for _, c := range series {
-			res, err := runCell(c)
-			if err != nil {
-				return err
-			}
-			pr := parallelResult{result: res}
-			if c.Cfg.Shards == 1 {
-				baseline = res.NsPerRound
-			} else if baseline > 0 && res.NsPerRound > 0 {
-				pr.SpeedupVsSerial = baseline / res.NsPerRound
-			}
-			rep.Cells = append(rep.Cells, pr)
-			speedup := "baseline"
-			if pr.SpeedupVsSerial > 0 {
-				speedup = fmt.Sprintf("%.2fx", pr.SpeedupVsSerial)
-			}
-			fmt.Fprintf(out, "%-44s %12.0f ns/round %3d allocs  %s\n",
-				res.Name, res.NsPerRound, res.AllocsPerRound, speedup)
+	var baseline float64
+	for _, c := range parallelGrid(quick) {
+		res, err := runCell(c)
+		if err != nil {
+			return err
 		}
+		pr := parallelResult{result: res}
+		if c.Cfg.Shards == 1 {
+			baseline = res.NsPerRound
+		} else if baseline > 0 && res.NsPerRound > 0 {
+			pr.SpeedupVsSerial = baseline / res.NsPerRound
+		}
+		rep.Cells = append(rep.Cells, pr)
+		speedup := "baseline"
+		if pr.SpeedupVsSerial > 0 {
+			speedup = fmt.Sprintf("%.2fx", pr.SpeedupVsSerial)
+		}
+		fmt.Fprintf(out, "%-44s %12.0f ns/round %3d allocs  %s\n",
+			res.Name, res.NsPerRound, res.AllocsPerRound, speedup)
 	}
 	if outPath == "" {
 		return nil

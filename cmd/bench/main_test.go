@@ -317,28 +317,23 @@ func TestFlagCombinations(t *testing.T) {
 }
 
 func TestParallelGridShape(t *testing.T) {
-	series := parallelGrid(true)
-	if len(series) != 2 {
-		t.Fatalf("parallel grid has %d series, want 2", len(series))
+	cells := parallelGrid(true)
+	if len(cells) != 4 {
+		t.Fatalf("series has %d points, want 4 (shards 1,2,4,8)", len(cells))
 	}
-	for _, cells := range series {
-		if len(cells) != 4 {
-			t.Fatalf("series has %d points, want 4 (shards 1,2,4,8)", len(cells))
+	for i, c := range cells {
+		want := 1 << i
+		if c.Cfg.Shards != want {
+			t.Fatalf("point %d has Shards=%d, want %d", i, c.Cfg.Shards, want)
 		}
-		if cells[0].Cfg.Shards != 1 {
-			t.Fatalf("series does not start at the serial baseline: %+v", cells[0].Cfg)
+		if c.Cfg.Policy != kdchoice.KDChoice {
+			t.Fatalf("point %d runs %v; the series is the kd acceptance cell", i, c.Cfg.Policy)
 		}
-		for i, c := range cells {
-			want := 1 << i
-			if c.Cfg.Shards != want {
-				t.Fatalf("point %d has Shards=%d, want %d", i, c.Cfg.Shards, want)
-			}
-			a, err := kdchoice.New(c.Cfg)
-			if err != nil {
-				t.Fatalf("cell %s invalid: %v", c.Name, err)
-			}
-			a.Close()
+		a, err := kdchoice.New(c.Cfg)
+		if err != nil {
+			t.Fatalf("cell %s invalid: %v", c.Name, err)
 		}
+		a.Close()
 	}
 }
 
@@ -359,8 +354,8 @@ func TestRunParallelQuickWritesReport(t *testing.T) {
 	if rep.GOMAXPROCS < 1 {
 		t.Fatalf("GOMAXPROCS = %d not recorded", rep.GOMAXPROCS)
 	}
-	if len(rep.Cells) != 8 {
-		t.Fatalf("report has %d cells, want 8", len(rep.Cells))
+	if len(rep.Cells) != 4 {
+		t.Fatalf("report has %d cells, want 4", len(rep.Cells))
 	}
 	for _, c := range rep.Cells {
 		if c.AllocsPerRound != 0 {

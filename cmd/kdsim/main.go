@@ -65,7 +65,7 @@ func run(args []string, out io.Writer) error {
 	storeName := fs.String("store", "dense", "bin-load store, one of:\n"+strings.Join(kdchoice.StoreHelp(), "\n"))
 	pipeline := fs.Bool("pipeline", false, "pre-draw sample supersteps on a producer goroutine (bit-identical)")
 	block := fs.Int("block", 0, "superstep size in rounds for the round policies (0 = auto, bit-identical for any value)")
-	shards := fs.Int("shards", 0, "parallel decision workers (0 = auto; >=2 shards the fixed-prologue policies, bit-identical for any worker count; staleness horizon = -block for the round policies)")
+	shards := fs.Int("shards", 0, "parallel decision workers (0 = serial; >=2 shards the fixed-prologue policies except stale-batch, bit-identical for any worker count; staleness horizon = -block for the round policies)")
 	seed := fs.Uint64("seed", 1, "root seed")
 	profile := fs.Int("profile", 10, "print the top P mean sorted loads (0 to disable)")
 	churnName := fs.String("churn", "none", "serving churn model: "+strings.Join(kdchoice.ChurnNames(), ", ")+" (non-none serves an online stream)")

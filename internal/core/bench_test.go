@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/loadvec"
 	"repro/internal/xrand"
 )
 
@@ -85,4 +86,42 @@ func BenchmarkPlaceAdaptiveKD(b *testing.B) {
 
 func BenchmarkPlaceSAx0(b *testing.B) {
 	benchPlace(b, SAx0, Params{N: 1 << 16, X0: 64})
+}
+
+// BenchmarkStaleBatchRound times one StaleBatch round (D = 2) per op and
+// reports ns/ball, in cache (n = 1e5) and in DRAM (n = 2e7, 160 MB dense,
+// 10 MB nibble), on the dense and nibble stores, at a small and a large
+// batch k. Each cell builds its process once, outside the timed runs, and
+// places n/4 balls first, so every page of the store is touched before
+// timing and first-touch page faults stay out of the reading. Loads reset
+// off the clock once a run has placed n balls, so the nibble store never
+// spills into its escape table.
+func BenchmarkStaleBatchRound(b *testing.B) {
+	for _, n := range []int{100000, 20000000} {
+		for _, store := range []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreNibble} {
+			for _, k := range []int{8, 4096} {
+				var pr *Process
+				b.Run(fmt.Sprintf("n=%d/store=%v/k=%d", n, store, k), func(b *testing.B) {
+					if pr == nil {
+						pr = MustNew(StaleBatch, Params{N: n, K: k, D: 2, Store: store}, xrand.New(1))
+						pr.Place(n / 4)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						pr.Round()
+						if pr.Balls() >= n {
+							b.StopTimer()
+							pr.Reset()
+							b.StartTimer()
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/ball")
+				})
+				if pr != nil {
+					pr.Close()
+				}
+			}
+		}
+	}
 }

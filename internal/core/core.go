@@ -50,9 +50,10 @@
 // snapshot, and placements apply serially in round order. Sharded results
 // are bit-identical for ANY worker count (the merge is positional, not
 // scheduling-dependent); relative to the serial process they are
-// bit-identical wherever the policy's semantics allow (StaleBatch and
-// SingleChoice always; the load-coupled round policies at Block = 1) and
-// diverge only by bounded within-block staleness otherwise.
+// bit-identical wherever the policy's semantics allow (SingleChoice
+// always; the load-coupled round policies at Block = 1) and diverge only
+// by bounded within-block staleness otherwise. StaleBatch accepts any
+// shard count but always runs its serial round (stale.go).
 package core
 
 import (
@@ -248,19 +249,21 @@ type Params struct {
 	// decide whole rounds in parallel against that frozen snapshot, and
 	// placements apply serially in round order. Results are bit-identical
 	// across ANY shard count >= 2 (the owner-shard merge is positional).
-	// Relative to the serial process: StaleBatch and SingleChoice are
-	// bit-identical always; KDChoice, fixed-σ SerializedKD, DChoice, and
-	// CoarseDChoice are bit-identical at Block = 1 and otherwise see each
-	// round's loads as of its block start (bounded within-block
-	// staleness); OnePlusBeta shards under its own fixed-width prologue
-	// and matches the serial law only in distribution. Policies with
-	// data-dependent prologues (AdaptiveKD, DynamicKD, random-σ
-	// SerializedKD, AlwaysGoLeft, SAx0) reject Shards > 1.
+	// Relative to the serial process: SingleChoice is bit-identical
+	// always; KDChoice, fixed-σ SerializedKD, DChoice, and CoarseDChoice
+	// are bit-identical at Block = 1 and otherwise see each round's loads
+	// as of its block start (bounded within-block staleness); OnePlusBeta
+	// shards under its own fixed-width prologue and matches the serial law
+	// only in distribution. Policies with data-dependent prologues
+	// (AdaptiveKD, DynamicKD, random-σ SerializedKD, AlwaysGoLeft, SAx0)
+	// reject Shards > 1.
 	//
-	// 0 = auto: GOMAXPROCS workers for StaleBatch — whose sharding is
-	// exact at any count — and serial for every other policy, so that an
-	// auto-shard config can never change the allocation law between
-	// hosts. Sharding a staleness-coupled policy is an explicit opt-in.
+	// 0 (the default) is serial for every policy, so a config that leaves
+	// Shards unset runs the same engine path on every host. StaleBatch
+	// accepts any value but always runs its serial gather-then-decide
+	// round (stale.go): its results never depended on the shard count,
+	// and the serial round outruns the sharded one at every measured
+	// shape. Sharding any other policy is an explicit opt-in.
 	Shards int
 	// VecDims switches the process into vector-load mode when > 0: every
 	// bin carries a VecDims-component []float64 load vector, balls arrive
@@ -347,9 +350,10 @@ type Process struct {
 	// randomness stays serially pre-drawn and placements apply serially.
 	shard *shardEngine
 
-	// StaleBatch sharded rounds: all k·D samples of a round, drawn up
-	// front so the decision phase is read-only.
-	shardBuf []int
+	// StaleBatch rounds: all k·D samples of a round and their gathered
+	// round-start loads.
+	staleSamples []int
+	staleLdv     []int
 
 	// SAx0 bookkeeping: loadCount[y] = number of bins with load exactly y.
 	loadCount []int
@@ -515,9 +519,8 @@ func New(policy Policy, p Params, rng xrand.Source) (*Process, error) {
 	}
 	if policy == StaleBatch {
 		pr.cands = make([]int, p.K)
-		if shards > 1 {
-			pr.shardBuf = make([]int, p.K*p.D)
-		}
+		pr.staleSamples = make([]int, p.K*p.D)
+		pr.staleLdv = make([]int, p.K*p.D)
 	}
 	if policy == SAx0 {
 		pr.loadCount = make([]int, 8)
@@ -923,11 +926,9 @@ func (pr *Process) step(toPlace int) {
 		pr.stepFaulty(toPlace)
 		return
 	}
-	if pr.shard != nil && pr.policy != StaleBatch {
+	if pr.shard != nil {
 		// Sharded superstep engine: decisions were (or will be) made in
 		// parallel for the whole block; apply this round's serially.
-		// StaleBatch keeps its own dispatch below — its superstep is one
-		// round wide and runs gather + decide phases on the same pool.
 		pr.shard.step(pr, toPlace)
 		return
 	}

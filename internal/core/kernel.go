@@ -2,8 +2,8 @@ package core
 
 // This file is the devirtualized kernel layer: the store-touching inner
 // loops of the round engine (slot materialization with its bin-load reads,
-// ball placement, the d-choice argmin scan, the StaleBatch decision scan)
-// are specialized per concrete bin store so every load read compiles to a
+// ball placement, the d-choice argmin scan, the load gathers) are
+// specialized per concrete bin store so every load read compiles to a
 // direct array access instead of a dynamic interface call.
 //
 // The specialization mechanism is generics over the RAW LOAD ELEMENT TYPE
@@ -47,8 +47,8 @@ type loadElem interface {
 }
 
 // kernelOps is the per-round dispatch seam between the policy round
-// functions and the store-specialized kernels: one dynamic call per round
-// (or per StaleBatch ball), with all per-bin work devirtualized inside.
+// functions and the store-specialized kernels: one dynamic call per round,
+// with all per-bin work devirtualized inside.
 type kernelOps interface {
 	// fastSelect groups pr.samples, materializes the round's slots, and
 	// returns the toPlace minimum slots ranked ascending (the counting
@@ -60,10 +60,6 @@ type kernelOps interface {
 	// dchoiceBest returns the least-loaded of pr.samples with ties broken
 	// by the per-round keyed hash (the greedy[d] argmin scan).
 	dchoiceBest(pr *Process, nonce uint64) int
-	// staleDecide returns the destination of one StaleBatch ball judged
-	// against the frozen round-start loads. Read-only: the sharded round
-	// calls it concurrently.
-	staleDecide(nonce uint64, ball int, samples []int) int
 	// bulkAdd is the store-specific batch increment (no heights observed).
 	bulkAdd(bins []int)
 	// addW is the weighted increment of the online serving path: w load
@@ -90,6 +86,8 @@ type kernelOps interface {
 	// (shard.go). Read-only on the store and positional on ldv, so P
 	// workers with disjoint bin ranges fill disjoint cells of the same
 	// slice concurrently, and the merged snapshot is independent of P.
+	// The StaleBatch round (stale.go) gathers its whole snapshot with
+	// [lo, hi) = [0, n).
 	shardGather(samples, ldv []int, lo, hi int)
 }
 
@@ -132,10 +130,7 @@ func (k kernDense) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	return fastSelectTyped(pr, k.s.RawLoads(), -1, nil, nonce, toPlace)
 }
 func (k kernDense) dchoiceBest(pr *Process, nonce uint64) int {
-	return staleDecideTyped(pr.samples, k.s.RawLoads(), -1, nil, nonce, 0)
-}
-func (k kernDense) staleDecide(nonce uint64, ball int, samples []int) int {
-	return staleDecideTyped(samples, k.s.RawLoads(), -1, nil, nonce, ball)
+	return argminTyped(pr.samples, k.s.RawLoads(), -1, nil, nonce)
 }
 func (k kernDense) placeSlots(pr *Process, sel []slot) ([]int, []int) {
 	return placeSlotsOn(pr, k.s, sel)
@@ -161,11 +156,7 @@ func (k kernCompact) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 }
 func (k kernCompact) dchoiceBest(pr *Process, nonce uint64) int {
 	small, wide := k.s.RawLoads()
-	return staleDecideTyped(pr.samples, small, loadvec.CompactEscape, wide, nonce, 0)
-}
-func (k kernCompact) staleDecide(nonce uint64, ball int, samples []int) int {
-	small, wide := k.s.RawLoads()
-	return staleDecideTyped(samples, small, loadvec.CompactEscape, wide, nonce, ball)
+	return argminTyped(pr.samples, small, loadvec.CompactEscape, wide, nonce)
 }
 func (k kernCompact) placeSlots(pr *Process, sel []slot) ([]int, []int) {
 	return placeSlotsOn(pr, k.s, sel)
@@ -191,10 +182,7 @@ func (k kernHist) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	return fastSelectTyped(pr, k.s.RawLoads(), -1, nil, nonce, toPlace)
 }
 func (k kernHist) dchoiceBest(pr *Process, nonce uint64) int {
-	return staleDecideTyped(pr.samples, k.s.RawLoads(), -1, nil, nonce, 0)
-}
-func (k kernHist) staleDecide(nonce uint64, ball int, samples []int) int {
-	return staleDecideTyped(samples, k.s.RawLoads(), -1, nil, nonce, ball)
+	return argminTyped(pr.samples, k.s.RawLoads(), -1, nil, nonce)
 }
 func (k kernHist) placeSlots(pr *Process, sel []slot) ([]int, []int) {
 	return placeSlotsOn(pr, k.s, sel)
@@ -225,11 +213,7 @@ func (k kernNibble) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 }
 func (k kernNibble) dchoiceBest(pr *Process, nonce uint64) int {
 	packed, wide := k.s.RawLoads()
-	return staleDecideNibble(pr.samples, packed, wide, nonce, 0)
-}
-func (k kernNibble) staleDecide(nonce uint64, ball int, samples []int) int {
-	packed, wide := k.s.RawLoads()
-	return staleDecideNibble(samples, packed, wide, nonce, ball)
+	return argminNibble(pr.samples, packed, wide, nonce)
 }
 func (k kernNibble) placeSlots(pr *Process, sel []slot) ([]int, []int) {
 	return placeSlotsOn(pr, k.s, sel)
@@ -263,13 +247,11 @@ func (k kernSketch) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	return pr.probeAndRank(nonce, toPlace)
 }
 func (k kernSketch) dchoiceBest(pr *Process, nonce uint64) int {
-	return k.staleDecide(nonce, 0, pr.samples)
-}
-func (k kernSketch) staleDecide(nonce uint64, ball int, samples []int) int {
 	rows, seeds, mask := k.s.RawSketch().Raw()
+	samples := pr.samples
 	best := samples[0]
 	bestLoad := sketchEstimate(rows, seeds, mask, best)
-	bestTie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(best)*0x9e3779b97f4a7c15)
+	bestTie := mix64(nonce ^ uint64(best)*0x9e3779b97f4a7c15)
 	for _, cand := range samples[1:] {
 		if cand == best {
 			continue
@@ -278,9 +260,9 @@ func (k kernSketch) staleDecide(nonce uint64, ball int, samples []int) int {
 		switch {
 		case load < bestLoad:
 			best, bestLoad = cand, load
-			bestTie = mix64(nonce ^ uint64(ball)<<32 ^ uint64(cand)*0x9e3779b97f4a7c15)
+			bestTie = mix64(nonce ^ uint64(cand)*0x9e3779b97f4a7c15)
 		case load == bestLoad:
-			if tie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(cand)*0x9e3779b97f4a7c15); tie < bestTie {
+			if tie := mix64(nonce ^ uint64(cand)*0x9e3779b97f4a7c15); tie < bestTie {
 				best = cand
 				bestTie = tie
 			}
@@ -320,12 +302,10 @@ func (k kernIface) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	return pr.probeAndRank(nonce, toPlace)
 }
 func (k kernIface) dchoiceBest(pr *Process, nonce uint64) int {
-	return k.staleDecide(nonce, 0, pr.samples)
-}
-func (k kernIface) staleDecide(nonce uint64, ball int, samples []int) int {
+	samples := pr.samples
 	best := samples[0]
 	bestLoad := k.s.Load(best)
-	bestTie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(best)*0x9e3779b97f4a7c15)
+	bestTie := mix64(nonce ^ uint64(best)*0x9e3779b97f4a7c15)
 	for _, cand := range samples[1:] {
 		if cand == best {
 			continue
@@ -334,9 +314,9 @@ func (k kernIface) staleDecide(nonce uint64, ball int, samples []int) int {
 		switch {
 		case load < bestLoad:
 			best, bestLoad = cand, load
-			bestTie = mix64(nonce ^ uint64(ball)<<32 ^ uint64(cand)*0x9e3779b97f4a7c15)
+			bestTie = mix64(nonce ^ uint64(cand)*0x9e3779b97f4a7c15)
 		case load == bestLoad:
-			if tie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(cand)*0x9e3779b97f4a7c15); tie < bestTie {
+			if tie := mix64(nonce ^ uint64(cand)*0x9e3779b97f4a7c15); tie < bestTie {
 				best = cand
 				bestTie = tie
 			}
@@ -498,24 +478,31 @@ func gatherOwnedSketch(samples, ldv []int, rows []uint8, seeds []uint64, mask ui
 // argminLdv is the store-free argmin scan over an already-gathered load
 // snapshot: the least-loaded sampled bin under quantum-q bucketing, ties
 // broken by the keyed hash. It is the one scan body behind the sharded
-// decide phase and the serial CoarseDChoice round: ball = 0, q = 1
-// reproduces dchoiceBest's arithmetic exactly (the per-ball tie term
-// vanishes); ball = 0, q = Quantum is coarseBest; ball = b, q = 1 is
-// staleDecide against frozen loads. The duplicate-bin skip (cand == best)
-// matches the store-reading scans, so the decisions are bit-identical to
-// theirs whenever ldv holds the same loads they would read.
+// decide phase, the serial CoarseDChoice round and the StaleBatch round:
+// ball = 0, q = 1 reproduces dchoiceBest's arithmetic exactly (the
+// per-ball tie term vanishes); ball = 0, q = Quantum is coarseBest;
+// ball = b, q = 1 is StaleBatch ball b against the round-start loads. The
+// duplicate-bin skip (cand == best) matches the store-reading scans, so
+// the decisions are bit-identical to theirs whenever ldv holds the same
+// loads they would read.
 //
 //kd:hotpath
 func argminLdv(samples, ldv []int, nonce uint64, ball, q int) int {
 	best := samples[0]
-	bestLoad := ldv[0] / q
+	bestLoad := ldv[0]
+	if q > 1 {
+		bestLoad /= q
+	}
 	bestTie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(best)*0x9e3779b97f4a7c15)
 	for j := 1; j < len(samples); j++ {
 		cand := samples[j]
 		if cand == best {
 			continue
 		}
-		load := ldv[j] / q
+		load := ldv[j]
+		if q > 1 {
+			load /= q // q = 1 skips the division, the scan's costliest step
+		}
 		switch {
 		case load < bestLoad:
 			best, bestLoad = cand, load
@@ -530,18 +517,16 @@ func argminLdv(samples, ldv []int, nonce uint64, ball, q int) int {
 	return best
 }
 
-// staleDecideNibble is staleDecideTyped over the packed nibble cells; like
-// its typed sibling it must stay a pure function of (raw state, nonce,
-// ball, samples) — the sharded StaleBatch round calls it concurrently.
+// argminNibble is argminTyped over the packed nibble cells.
 //
 //kd:hotpath
-func staleDecideNibble(samples []int, packed []uint8, wide map[int]int, nonce uint64, ball int) int {
+func argminNibble(samples []int, packed []uint8, wide map[int]int, nonce uint64) int {
 	best := samples[0]
 	bestLoad := int(packed[best>>1]>>((best&1)<<2)) & 0xF
 	if bestLoad == loadvec.NibbleEscape {
 		bestLoad = wide[best]
 	}
-	bestTie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(best)*0x9e3779b97f4a7c15)
+	bestTie := mix64(nonce ^ uint64(best)*0x9e3779b97f4a7c15)
 	for _, cand := range samples[1:] {
 		if cand == best {
 			continue
@@ -553,9 +538,9 @@ func staleDecideNibble(samples []int, packed []uint8, wide map[int]int, nonce ui
 		switch {
 		case load < bestLoad:
 			best, bestLoad = cand, load
-			bestTie = mix64(nonce ^ uint64(ball)<<32 ^ uint64(cand)*0x9e3779b97f4a7c15)
+			bestTie = mix64(nonce ^ uint64(cand)*0x9e3779b97f4a7c15)
 		case load == bestLoad:
-			if tie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(cand)*0x9e3779b97f4a7c15); tie < bestTie {
+			if tie := mix64(nonce ^ uint64(cand)*0x9e3779b97f4a7c15); tie < bestTie {
 				best = cand
 				bestTie = tie
 			}
@@ -564,24 +549,19 @@ func staleDecideNibble(samples []int, packed []uint8, wide map[int]int, nonce ui
 	return best
 }
 
-// The greedy[d] argmin scan of dchoiceBest is staleDecideTyped with
-// ball = 0: the per-ball tie term uint64(ball)<<32 vanishes, leaving
-// exactly the per-(round, bin) keyed hash ballDChoice documents, and the
-// duplicate-bin skip is equivalent to the equal-load tie guard. One scan
-// body therefore serves both policies.
-
-// staleDecideTyped is the specialized StaleBatch per-ball decision scan; it
-// must stay a pure function of (raw state, nonce, ball, samples) — the
-// sharded round calls it concurrently.
+// argminTyped is the greedy[d] argmin scan of dchoiceBest, reading the raw
+// store cells: the least-loaded sampled bin, ties broken by exactly the
+// per-(round, bin) keyed hash ballDChoice documents. The duplicate-bin
+// skip is equivalent to the equal-load tie guard.
 //
 //kd:hotpath
-func staleDecideTyped[E loadElem](samples []int, raw []E, esc int, wide map[int]int, nonce uint64, ball int) int {
+func argminTyped[E loadElem](samples []int, raw []E, esc int, wide map[int]int, nonce uint64) int {
 	best := samples[0]
 	bestLoad := int(raw[best])
 	if bestLoad == esc {
 		bestLoad = wide[best]
 	}
-	bestTie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(best)*0x9e3779b97f4a7c15)
+	bestTie := mix64(nonce ^ uint64(best)*0x9e3779b97f4a7c15)
 	for _, cand := range samples[1:] {
 		if cand == best {
 			continue
@@ -593,9 +573,9 @@ func staleDecideTyped[E loadElem](samples []int, raw []E, esc int, wide map[int]
 		switch {
 		case load < bestLoad:
 			best, bestLoad = cand, load
-			bestTie = mix64(nonce ^ uint64(ball)<<32 ^ uint64(cand)*0x9e3779b97f4a7c15)
+			bestTie = mix64(nonce ^ uint64(cand)*0x9e3779b97f4a7c15)
 		case load == bestLoad:
-			if tie := mix64(nonce ^ uint64(ball)<<32 ^ uint64(cand)*0x9e3779b97f4a7c15); tie < bestTie {
+			if tie := mix64(nonce ^ uint64(cand)*0x9e3779b97f4a7c15); tie < bestTie {
 				best = cand
 				bestTie = tie
 			}

@@ -1,10 +1,11 @@
 package core
 
 // This file is the sharded superstep engine: the parallel decision phase
-// behind Params.Shards >= 2. It generalizes what PR 6's sharded StaleBatch
-// round did for one policy to every fixed-prologue policy, on the
-// theoretical license of the 1-2-3-Toolkit's batched-round model (Bertrand
-// & Lenzen, arXiv:1407.8433): balls-into-bins tolerates bounded staleness
+// behind Params.Shards >= 2 for every fixed-prologue policy except
+// StaleBatch (which accepts any Shards but always runs its serial
+// gather-then-decide round, stale.go), on the theoretical license of the
+// 1-2-3-Toolkit's batched-round model (Bertrand & Lenzen,
+// arXiv:1407.8433): balls-into-bins tolerates bounded staleness
 // within a batch, so a whole block of rounds may be DECIDED against the
 // loads as of the block start and then APPLIED serially in round order.
 //
@@ -12,9 +13,9 @@ package core
 //
 //  1. draw (serial): the block's randomness is pre-drawn through the exact
 //     serial sequence — xrand.FillRounds for the fixed-width prologues,
-//     FillIntn for SingleChoice, nonce-then-FillIntn for StaleBatch — so
-//     the word stream is identical to the serial process for any shard
-//     count and any block size. Randomness NEVER depends on P.
+//     FillIntn for SingleChoice — so the word stream is identical to the
+//     serial process for any shard count and any block size. Randomness
+//     NEVER depends on P.
 //  2. gather + decide (parallel): every worker owns a contiguous bin range
 //     [edges[w], edges[w+1]) and fills the load snapshot cells of the
 //     samples it owns — disjoint positional writes into one shared slice,
@@ -29,16 +30,14 @@ package core
 //     round order, through the same store paths as the serial process.
 //
 // Consequences, pinned by the shard tests: results are bit-identical
-// across ANY shard count >= 2; StaleBatch and SingleChoice are
-// bit-identical to serial always; the load-coupled round policies
-// (KDChoice, fixed-σ SerializedKD, DChoice, CoarseDChoice) are
-// bit-identical to serial at Block = 1 and otherwise diverge only by
-// within-block staleness (their gap statistics stay within the coupling
-// bounds); OnePlusBeta recasts its data-dependent draw pattern into a
+// across ANY shard count >= 2; SingleChoice is bit-identical to serial
+// always; the load-coupled round policies (KDChoice, fixed-σ
+// SerializedKD, DChoice, CoarseDChoice) are bit-identical to serial at
+// Block = 1 and otherwise diverge only by within-block staleness (their
+// gap statistics stay within the coupling bounds); OnePlusBeta recasts its data-dependent draw pattern into a
 // fixed-width prologue and matches the serial law in distribution only.
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/xrand"
@@ -70,13 +69,13 @@ func shardDrawWidth(policy Policy) int {
 	return 2 // OnePlusBeta
 }
 
-// effectiveShards resolves Params.Shards to a worker count. 0 (auto) means
-// GOMAXPROCS for StaleBatch — whose sharded rounds are bit-identical to
-// serial at any count, so auto can never change results — and serial for
-// every other policy: engaging the engine on a load-coupled policy changes
-// the allocation law (within-block staleness), and an implicit
-// host-dependent law change would break cross-machine reproducibility.
-// Sharding those policies is an explicit opt-in.
+// effectiveShards resolves Params.Shards to a worker count. 0 means serial
+// for every policy, so an unset Shards never picks a host-dependent engine
+// path: engaging the engine on a load-coupled policy changes the
+// allocation law (within-block staleness), and sharding is an explicit
+// opt-in. StaleBatch is serial at any Shards — its serial
+// gather-then-decide round is bit-identical to a sharded one and faster
+// at every measured shape, so the engine has nothing to offer it.
 func effectiveShards(policy Policy, p Params) int {
 	if faultsActive(p) {
 		// Fault decisions are serial by design (the injector's streams
@@ -85,17 +84,10 @@ func effectiveShards(policy Policy, p Params) int {
 		// bit-identical for ANY Shards setting.
 		return 1
 	}
-	s := p.Shards
-	if s == 0 {
-		if policy == StaleBatch {
-			return runtime.GOMAXPROCS(0)
-		}
+	if p.Shards == 0 || policy == StaleBatch || !shardEligible(policy, p) {
 		return 1
 	}
-	if !shardEligible(policy, p) {
-		return 1
-	}
-	return s
+	return p.Shards
 }
 
 // shardPool is the engine's persistent worker pool: workers-1 goroutines
@@ -164,8 +156,6 @@ func (p *shardPool) Close() {
 const (
 	phaseGather = iota
 	phaseDecide
-	phaseStaleGather
-	phaseStaleDecide
 )
 
 // shardEngine holds the sharded superstep state of one Process. The
@@ -184,7 +174,7 @@ type shardEngine struct {
 	workers int
 
 	pool  *shardPool
-	eng   *roundEngine // FillRounds block source (nil: single / stale mode)
+	eng   *roundEngine // FillRounds block source (nil: single mode)
 	edges []int        // worker w owns bins [edges[w], edges[w+1])
 	sels  []*selector  // per-worker decision lane (kd / serialized only)
 
@@ -199,12 +189,6 @@ type shardEngine struct {
 	winLo  int // first round of the window the current phases cover
 
 	phase int
-
-	// StaleBatch per-round phase inputs.
-	staleBuf     []int
-	staleDests   []int
-	staleNonce   uint64
-	staleToPlace int
 }
 
 // newShardEngine builds the engine and its worker pool. The caller has
@@ -222,18 +206,12 @@ func newShardEngine(policy Policy, p Params, rng xrand.Source, workers int) *sha
 	for w := 0; w <= workers; w++ {
 		se.edges[w] = w * p.N / workers
 	}
-	switch policy {
-	case StaleBatch:
-		// One round per superstep; randomness is drawn by staleRound via
-		// pr.rng (nonce then samples — the serial order), the snapshot
-		// covers the round's k·D samples.
-		se.ldv = make([]int, p.K*p.D)
-	case SingleChoice:
+	if policy == SingleChoice {
 		se.d = 1
 		se.block = shardBlockRounds(1, p.Block)
 		se.single = make([]int, se.block)
 		se.dests = se.single // the sample IS the destination
-	default:
+	} else {
 		if policy == OnePlusBeta {
 			se.d = shardDrawWidth(policy)
 		}
@@ -343,10 +321,6 @@ func (se *shardEngine) work(w int) {
 		se.kern.shardGather(se.blk.samples[base:end], se.ldv[base:end], se.edges[w], se.edges[w+1])
 	case phaseDecide:
 		se.decideChunk(w)
-	case phaseStaleGather:
-		se.kern.shardGather(se.staleBuf, se.ldv[:len(se.staleBuf)], se.edges[w], se.edges[w+1])
-	case phaseStaleDecide:
-		se.staleDecideChunk(w)
 	}
 }
 
@@ -416,7 +390,7 @@ func (se *shardEngine) decideOnePlusBeta(r int, samples, ldv []int, nonce uint64
 
 // applyKD commits round r of a sharded (k,d)-choice block: the first
 // toPlace ranked destinations, batch-incremented when unobserved exactly
-// like the StaleBatch apply (one devirtualized BulkAdd per round).
+// (one devirtualized BulkAdd per round).
 func (se *shardEngine) applyKD(pr *Process, r, toPlace int) {
 	dests := se.dests[r*se.k : r*se.k+toPlace]
 	placed, heights := pr.beginObs(toPlace)
@@ -500,51 +474,4 @@ func (se *shardEngine) applyOnePlusBeta(pr *Process, r int) {
 // the serial engine's pre-drawn rounds).
 func (se *shardEngine) roundSamples(r int) []int {
 	return se.blk.samples[r*se.d : (r+1)*se.d]
-}
-
-// staleRound is the sharded StaleBatch round — the engine's one-round-wide
-// configuration. The draw order (nonce, then every ball's samples in ball
-// order) and the apply path are exactly the serial round's, and the
-// gather-then-argmin pipeline reads the same frozen loads the serial scan
-// reads live (nothing mutates during the decision phase), so the sharded
-// round is bit-identical to serial at any worker count.
-func (se *shardEngine) staleRound(pr *Process, toPlace int) {
-	perBall := se.d
-	nonce := pr.rng.Uint64()
-	placed, heights := pr.beginObs(toPlace)
-	if cap(pr.cands) < toPlace {
-		pr.cands = make([]int, toPlace)
-	}
-	dests := pr.cands[:toPlace]
-	buf := pr.shardBuf[:toPlace*perBall]
-	pr.rng.FillIntn(buf, pr.n)
-
-	se.kern = pr.kern
-	se.staleBuf = buf
-	se.staleDests = dests
-	se.staleNonce = nonce
-	se.staleToPlace = toPlace
-	se.phase = phaseStaleGather
-	se.pool.dispatch()
-	se.phase = phaseStaleDecide
-	se.pool.dispatch()
-	pr.applyStaleDests(dests, placed, heights)
-}
-
-// staleDecideChunk runs worker w's contiguous chunk of a StaleBatch
-// round's per-ball argmins over the frozen snapshot.
-func (se *shardEngine) staleDecideChunk(w int) {
-	toPlace := se.staleToPlace
-	chunk := (toPlace + se.workers - 1) / se.workers
-	lo := w * chunk
-	hi := lo + chunk
-	if hi > toPlace {
-		hi = toPlace
-	}
-	perBall := se.d
-	for b := lo; b < hi; b++ {
-		samples := se.staleBuf[b*perBall : (b+1)*perBall]
-		ldv := se.ldv[b*perBall : (b+1)*perBall]
-		se.staleDests[b] = argminLdv(samples, ldv, se.staleNonce, b, 1)
-	}
 }

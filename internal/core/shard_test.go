@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/loadvec"
 	"repro/internal/xrand"
@@ -14,8 +15,8 @@ import (
 //   - P-independence: for ANY shard count >= 2 (and any GOMAXPROCS) the
 //     Report is byte-identical — the owner-shard merge is positional and
 //     the decide chunks share no state.
-//   - serial exactness where semantics allow: SingleChoice and StaleBatch
-//     at any block size; the load-coupled round policies at Block = 1
+//   - serial exactness where semantics allow: SingleChoice at any block
+//     size; the load-coupled round policies at Block = 1
 //     (one-round blocks see fresh loads, and the pre-drawn stream is the
 //     serial stream by FillRounds' replay guarantee).
 //   - bounded divergence where exactness is impossible: wide-block
@@ -334,9 +335,9 @@ func TestShardedOnePlusBetaDistribution(t *testing.T) {
 // TestShardedAllocationFree: every sharded path must place balls with
 // ZERO allocations per round in steady state — the superstep refill
 // (dispatch, gather, decide) included, since AllocsPerRun's 200 rounds
-// cross block boundaries for every block size below 200. This pins the
-// satellite fix for the 528 B/round sharded StaleBatch leak: the
-// persistent pool replaced the per-round goroutine launches.
+// cross block boundaries for every block size below 200. The stale-batch
+// cases pin that StaleBatch, which runs its serial round at any Shards,
+// stays allocation-free whatever Shards says.
 func TestShardedAllocationFree(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -383,4 +384,61 @@ func TestShardedGOMAXPROCSInvariance(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	stateEqual(t, "gomaxprocs-1-vs-4", a, b)
+}
+
+// TestShardsAutoIsSerial: Shards: 0 is the serial engine for every
+// shard-eligible policy, whatever the host offers — New starts no worker
+// goroutine, and the result is bit-identical to an explicit Shards: 1.
+// GOMAXPROCS is forced to 4 so a host-dependent default shows on any box.
+func TestShardsAutoIsSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const seed, m = 31337, 32*6 + 5 // partial final round included
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		p      Params
+	}{
+		{"kd", KDChoice, Params{N: 96, K: 4, D: 12}},
+		{"kd-serialized", SerializedKD, Params{N: 96, K: 3, D: 8, Sigma: []int{2, 0, 1}}},
+		{"dchoice", DChoice, Params{N: 96, D: 3}},
+		{"dchoice-coarse", CoarseDChoice, Params{N: 96, D: 4, Quantum: 2}},
+		{"single", SingleChoice, Params{N: 96}},
+		{"oneplusbeta", OnePlusBeta, Params{N: 96, Beta: 0.4}},
+		{"stale-batch", StaleBatch, Params{N: 96, K: 32, D: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := settledGoroutines()
+			got := MustNew(tc.policy, tc.p, xrand.New(seed))
+			if n := runtime.NumGoroutine(); n != before {
+				t.Fatalf("New with Shards: 0 changed the goroutine count %d -> %d", before, n)
+			}
+			p := tc.p
+			p.Shards = 1
+			ref := MustNew(tc.policy, p, xrand.New(seed))
+			ref.Place(m)
+			got.Place(m)
+			stateEqual(t, tc.name+"/auto-vs-serial", ref, got)
+			got.Close()
+			ref.Close()
+			if n := runtime.NumGoroutine(); n != before {
+				t.Fatalf("goroutine count %d after Close, want %d", n, before)
+			}
+		})
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for a few milliseconds, so workers that earlier tests' Close calls told
+// to stop have exited before a test counts its own.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

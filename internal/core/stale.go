@@ -13,61 +13,43 @@ package core
 // Message cost is k·PerBallD per round; to compare against A(k,d) at equal
 // budget choose PerBallD = d/k.
 //
-// Because every ball decides against the frozen round-start loads with no
-// shared state, the decision phase is embarrassingly parallel: with
-// Params.Shards > 1 (or 0 = auto on a multi-CPU host) the round runs as a
-// one-round-wide superstep of the sharded engine (shard.go) — all
-// randomness drawn serially up front in the exact serial order, the
-// gather and per-ball argmin phases fanned out over the persistent worker
-// pool — so the sharded round is bit-identical to the serial one (pinned
-// by TestStaleBatchShardedMatchesSerial, including under -race) and
-// allocation-free in steady state. Placements are applied serially in
-// ball order afterwards, exactly as in the serial path. StaleBatch is the
-// one policy whose sharding is exact for any block size; the load-coupled
-// round policies shard under the same engine with a within-block
-// staleness tradeoff instead (see shard.go).
-
-// The per-ball decision scan lives in kernel.go: kern.staleDecide for the
-// serial store-reading path, argminLdv over the gathered snapshot for the
-// sharded one — identical arithmetic, pinned by the equivalence tests.
+// A round runs serially in four steps: draw the nonce and all k·D samples
+// (one FillIntn, the same word stream as per-ball fills), gather every
+// sample's round-start load into a snapshot in one pass, take each ball's
+// argmin over its own snapshot cells, and apply the placements in ball
+// order. Gathering the whole snapshot before deciding lets the round's
+// independent load reads be in flight together, which is what makes the
+// serial round faster than fanning the decisions out over a worker pool.
+// StaleBatch accepts any Params.Shards and always runs this round, so its
+// results and its speed are independent of the shard count.
 
 // roundStaleBatch places toPlace balls, each with its own perBall probes
-// judged against the stale round-start loads.
+// judged against the stale round-start loads, then commits the decisions in
+// ball order (the round-synchronous update). Unobserved rounds use the
+// store-specific batch increment (dests is already the plain bin list
+// BulkAdd wants); observed rounds record per-ball heights.
 func (pr *Process) roundStaleBatch(toPlace int) {
-	if pr.shard != nil && toPlace > 1 {
-		pr.shard.staleRound(pr, toPlace)
-		return
-	}
 	perBall := pr.p.D
 	nonce := pr.rng.Uint64()
-	placed, heights := pr.beginObs(toPlace)
-	// Decide all destinations against stale loads first.
-	if cap(pr.cands) < toPlace {
-		pr.cands = make([]int, toPlace)
-	}
+	samples := pr.staleSamples[:toPlace*perBall]
+	ldv := pr.staleLdv[:len(samples)]
 	dests := pr.cands[:toPlace]
-	for b := 0; b < toPlace; b++ {
-		pr.rng.FillIntn(pr.samples[:perBall], pr.n)
-		dests[b] = pr.kern.staleDecide(nonce, b, pr.samples[:perBall])
+	pr.rng.FillIntn(samples, pr.n)
+	pr.kern.shardGather(samples, ldv, 0, pr.n)
+	for b := range dests {
+		lo, hi := b*perBall, (b+1)*perBall
+		dests[b] = argminLdv(samples[lo:hi], ldv[lo:hi], nonce, b, 1)
 	}
-	pr.applyStaleDests(dests, placed, heights)
-}
-
-// applyStaleDests commits the round's decisions in ball order (the
-// round-synchronous update) and accounts messages. Unobserved rounds use
-// the store-specific batch increment (dests is already the plain bin list
-// BulkAdd wants); observed rounds record per-ball heights.
-func (pr *Process) applyStaleDests(dests, placed, heights []int) {
+	placed, heights := pr.beginObs(toPlace)
 	if placed == nil {
 		pr.kern.bulkAdd(dests)
-		pr.balls += len(dests)
+		pr.balls += toPlace
 	} else {
 		for i, dst := range dests {
-			h := pr.place(dst)
 			placed[i] = dst
-			heights[i] = h
+			heights[i] = pr.place(dst)
 		}
 	}
-	pr.messages += int64(len(dests)) * int64(pr.p.D)
+	pr.messages += int64(toPlace) * int64(perBall)
 	pr.notify(nil, placed, heights)
 }

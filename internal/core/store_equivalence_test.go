@@ -160,16 +160,14 @@ func TestStorePolicyBitIdentityProperty(t *testing.T) {
 	}
 }
 
-// TestStaleBatchShardedMatchesSerial pins the sharded round engine: for
-// every store and several shard counts, the sharded StaleBatch process is
-// bit-identical to the serial one (all randomness is drawn serially up
-// front; only the read-only decision phase fans out). Run under -race in CI
-// to prove the decision phase never races the store.
+// TestStaleBatchShardedMatchesSerial pins the contract that Shards never
+// changes a StaleBatch result: for every store and several shard counts,
+// the process is bit-identical to the explicitly serial (Shards: 1) one.
 func TestStaleBatchShardedMatchesSerial(t *testing.T) {
 	for _, store := range []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble, loadvec.StoreSketch} {
 		for _, shards := range []int{2, 3, 8} {
 			const seed = 777
-			p := Params{N: 96, K: 32, D: 3, Store: store}
+			p := Params{N: 96, K: 32, D: 3, Store: store, Shards: 1}
 			ref := MustNew(StaleBatch, p, xrand.New(seed))
 			p.Shards = shards
 			got := MustNew(StaleBatch, p, xrand.New(seed))
@@ -182,12 +180,12 @@ func TestStaleBatchShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStaleBatchShardedPipelined combines both parallel engines: sharded
-// decisions fed by the pipelined random stream stay bit-identical to the
-// fully serial path.
+// TestStaleBatchShardedPipelined: a StaleBatch process with Shards set and
+// fed by the pipelined random stream stays bit-identical to the fully
+// serial (Shards: 1) path.
 func TestStaleBatchShardedPipelined(t *testing.T) {
 	const seed, m = 4242, 515
-	ref := MustNew(StaleBatch, Params{N: 128, K: 50, D: 4}, xrand.New(seed))
+	ref := MustNew(StaleBatch, Params{N: 128, K: 50, D: 4, Shards: 1}, xrand.New(seed))
 	got := MustNew(StaleBatch, Params{N: 128, K: 50, D: 4, Shards: 4, Pipeline: true, Store: loadvec.StoreCompact}, xrand.New(seed))
 	defer got.Close()
 	ref.Place(m)

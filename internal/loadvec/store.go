@@ -122,8 +122,8 @@ func ParseStoreKind(s string) (StoreKind, error) {
 // also drains bins through Sub/BulkSub as balls depart. Set exists for test
 // scenarios and snapshot restoration. A Store is not safe for concurrent
 // mutation, but concurrent reads (Load/MaxLoad/NuY) with no writer are safe
-// — the sharded StaleBatch round relies on this during its read-only
-// decision phase.
+// — the sharded superstep engine relies on this during its read-only
+// gather phase.
 type Store interface {
 	// Kind identifies the implementation.
 	Kind() StoreKind

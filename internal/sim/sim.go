@@ -235,34 +235,16 @@ func RunAll(workers int, cfgs []Config) ([]*Result, error) {
 	}
 	results := make([]*Result, len(cfgs))
 	counts := make([]int, len(cfgs))
-	total := 0
 	for i, cfg := range cfgs {
 		if err := core.Validate(cfg.Policy, cfg.Params); err != nil {
 			return nil, fmt.Errorf("sim: invalid config %d: %w", i, err)
 		}
 		results[i] = newResult(cfg)
 		counts[i] = cfg.runs()
-		total += counts[i]
 	}
-	// When the run pool itself is parallel, resolve Shards=0 (auto) to
-	// serial inside each process: auto-sharding only engages for
-	// StaleBatch, whose sharded rounds are bit-identical to serial, so
-	// results are unchanged — but nesting a per-process worker pool under
-	// an already-saturated run pool would only oversubscribe the CPUs.
-	// An explicit Shards >= 2 is an opt-in and flows through untouched.
-	poolWorkers := workers
-	if poolWorkers <= 0 {
-		poolWorkers = runtime.GOMAXPROCS(0)
-	}
-	serializeAutoShards := poolWorkers > 1 && total > 1
-
 	err := RunTasks(workers, counts, func(cell, run int) error {
 		cfg := &results[cell].Config
-		params := cfg.Params
-		if serializeAutoShards && params.Shards == 0 {
-			params.Shards = 1
-		}
-		pr, err := newProcess(cfg.Policy, params, xrand.NewStream(cfg.Seed, uint64(run)))
+		pr, err := newProcess(cfg.Policy, cfg.Params, xrand.NewStream(cfg.Seed, uint64(run)))
 		if err != nil {
 			return err
 		}

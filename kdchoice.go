@@ -372,18 +372,20 @@ type Config struct {
 	// parallel against a frozen load snapshot (all randomness pre-drawn
 	// serially, so the stream never depends on the worker count), and
 	// placements apply serially in round order. Results are bit-identical
-	// across ANY shard count >= 2. Relative to serial: StaleBatch and
-	// SingleChoice are bit-identical always; KDChoice, fixed-σ
-	// Serialized, DChoice, and CoarseDChoice are bit-identical at
-	// Block = 1 and otherwise see each round's loads as of its block
-	// start (the staleness horizon is exactly Block rounds); OnePlusBeta
-	// matches the serial law in distribution only. Policies with
-	// data-dependent draw patterns reject Shards > 1.
+	// across ANY shard count >= 2. Relative to serial: SingleChoice is
+	// bit-identical always; KDChoice, fixed-σ Serialized, DChoice, and
+	// CoarseDChoice are bit-identical at Block = 1 and otherwise see each
+	// round's loads as of its block start (the staleness horizon is
+	// exactly Block rounds); OnePlusBeta matches the serial law in
+	// distribution only. Policies with data-dependent draw patterns
+	// reject Shards > 1.
 	//
-	// 0 = auto: GOMAXPROCS workers for StaleBatch (exact at any count),
-	// serial for every other policy — auto never changes the allocation
-	// law between hosts; sharding a staleness-coupled policy is an
-	// explicit opt-in.
+	// 0 (the default) is serial for every policy, so an unset Shards runs
+	// the same engine path on every host; sharding is an explicit opt-in.
+	// StaleBatch accepts any value and always runs its serial
+	// gather-then-decide round: its results never depended on the shard
+	// count, and the serial round is the faster one at every measured
+	// shape.
 	Shards int
 	// Faults attaches a deterministic fault-injection plan (see
 	// ParseFaults and faults.go): seeded bin outages with recovery,

@@ -2,7 +2,8 @@
 # ci.sh — the repository's check pipeline.
 #
 #   scripts/ci.sh          format check, vet, kdlint, build, full tests, a
-#                          tree-wide -race pass, parser fuzz smokes, the
+#                          tree-wide -race pass, the perfbench module's
+#                          vet + tests, parser fuzz smokes, the
 #                          hot-path escape gate, and quick-mode bench +
 #                          scale smoke runs (exercising every store and
 #                          the pipelined engine end to end)
@@ -55,6 +56,9 @@ go test ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> perfbench: vet + tests (nested module; root ./... skips it)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> sharded engine smoke: GOMAXPROCS 1 and 4 (bit-identity is host-independent)"
 # The sharded superstep engine must produce identical results whether its
