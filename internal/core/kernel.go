@@ -625,11 +625,11 @@ func placeSlotsOn[S adderStore](pr *Process, st S, sel []slot) (placed, heights 
 	return placed, heights
 }
 
-// groupTab is the reusable epoch-stamped grouping scratch of the fused
-// kernels: a slot is live iff its stamp equals the current epoch, so a
-// superstep of rounds reuses the table with one epoch increment per round
-// instead of a per-round clear pass. tab packs (bin+1) in the high 32 bits
-// and the sample multiplicity so far in the low 32.
+// groupTab is the reusable epoch-stamped grouping scratch of the counting
+// path of probeAndRank: a slot is live iff its stamp equals the current
+// epoch, so the rounds that reach that path reuse the table with one epoch
+// increment each instead of a clear pass. tab packs (bin+1) in the high 32
+// bits and the sample multiplicity so far in the low 32.
 type groupTab struct {
 	tab   []uint64
 	stamp []uint32

@@ -29,10 +29,12 @@ package core
 //     list, so the steady state performs zero allocations.
 //
 // Policies with data-dependent draw patterns (AdaptiveKD's reservoir ties,
-// RandomSigma's shuffles, SAx0's rank draws, StaleBatch's per-ball fills,
-// ...) cannot pre-draw rounds; under Params.Pipeline they fall back to the
-// generic word-level prefetcher (xrand.Pipelined), which is bit-identical
-// for any policy.
+// RandomSigma's shuffles, SAx0's rank draws, ...) cannot pre-draw rounds.
+// StaleBatch's round is a fixed pattern — one nonce, then one FillIntn of
+// k·D samples — but not the d-samples-then-nonce kdRound record, so it
+// does not use the block engine either. Under Params.Pipeline all of them
+// fall back to the generic word-level prefetcher (xrand.Pipelined), which
+// is bit-identical for any policy.
 
 import (
 	"runtime"

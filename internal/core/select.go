@@ -11,15 +11,15 @@ import "sort"
 // Two implementations exist:
 //
 //   - the counting kernel, the default: O(d + k log k) expected. The
-//     store-specialized fused pass in kernel.go groups the samples with an
-//     epoch-stamped open-addressed table (O(d) space, reused clear-free
-//     across a whole superstep) and materializes the slots in the same
-//     scan, reading each distinct bin's load exactly once through a
-//     devirtualized store access; rankFromSlots below then locates the
-//     k-th smallest height by counting over the round's dense height
-//     window, deriving random tie keys lazily — only for slots at or below
-//     the boundary height — via a keyed hash of (bin, height) under a
-//     per-round nonce.
+//     store-specialized gather in kernel.go reads each sample's load
+//     through a devirtualized store access, and probeAndRank below picks
+//     the slots from those loads alone: for k <= 4 from the samples at the
+//     round's minimum load when they name k distinct bins (the common case
+//     when k << d), else by grouping the samples in an epoch-stamped
+//     table and letting rankFromSlots count heights over the round's
+//     dense height window, deriving random tie keys lazily — only for
+//     slots at or below the boundary height — via a keyed hash of
+//     (bin, height) under a per-round nonce.
 //   - the reference kernel (Params.ReferenceSelect): the original
 //     sort-everything path, kept as the oracle the fast kernel is tested
 //     against.
@@ -67,13 +67,14 @@ func (pr *Process) rankSelectWith(nonce uint64, toPlace int) []slot {
 }
 
 // selector owns the scratch of the store-free counting selection kernel:
-// the epoch-stamped group table, the height histogram, and the slot
-// buffers. It is one DECISION LANE — a serial process owns exactly one,
-// and every worker of the sharded superstep engine owns its own, so
-// concurrent per-round selections never share mutable state. The selector
-// reads only its arguments (samples, pre-gathered loads, the round nonce),
-// never the store, which is what lets the sharded decide phase run over a
-// frozen load snapshot.
+// the epoch-stamped group table and the height histogram of the counting
+// path, and the slot buffers (sc.slots also holds the min-load cohort of
+// the small-k pass). It is one DECISION LANE — a serial process owns
+// exactly one, and every worker of the sharded superstep engine owns its
+// own, so concurrent per-round selections never share mutable state. The
+// selector reads only its arguments (samples, pre-gathered loads, the
+// round nonce), never the store, which is what lets the sharded decide
+// phase run over a frozen load snapshot.
 type selector struct {
 	gtab  *groupTab
 	hist  []int32
@@ -106,78 +107,74 @@ func (pr *Process) probeAndRank(nonce uint64, toPlace int) []slot {
 }
 
 // probeAndRank is the store-free heart of the counting kernel, shared by
-// every kernel instantiation and every shard worker: ldv holds the load of
-// each sample (filled by the kernel's specialized gather pass), and one
-// scan over the samples probes the epoch-stamped group table and
-// materializes the conceptual slots (the i-th sample of bin b has height
-// load(b)+i). The slot SET and the final ranking are independent of slot
-// emission order (the total order on (height, tie, bin) is strict), so
-// fusing the former group-then-materialize pipeline changes no result. A
-// repeat sample's height comes straight from its own ldv entry — the table
-// records only the multiplicity, never the load.
+// every kernel instantiation and every shard worker; ldv holds each
+// sample's load. For toPlace <= 4 it first runs the min-load cohort pass:
+// a bin at the minimum sampled load m owns a slot at height m+1 and every
+// other slot sits at m+2 or above, so if the samples at load m name at
+// least toPlace distinct bins the winners are the toPlace smallest
+// (tie, bin) among them. A branch-free min and compaction find that
+// cohort; a streaming top-k over it derives tie keys at height m+1 and
+// skips a repeat sample of a bin it holds (the repeat's slot is the held
+// one). A smaller cohort falls through to the counting path, the only user
+// of the group table: one scan materializes every slot (the i-th sample of
+// bin b has height load(b)+i; the table counts multiplicity, ldv gives the
+// load) and rankFromSlots ranks them. The (height, tie, bin) order is
+// strict, so both paths select bit-identical slots.
 //
 //kd:hotpath
 func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) []slot {
+	ldv = ldv[:len(samples)]
+	if toPlace > 0 && toPlace <= 4 {
+		m := ldv[0]
+		for _, v := range ldv {
+			m = min(m, v)
+		}
+		coh := sc.slots[:len(samples)] // the counting path overwrites it
+		nc := 0
+		for i, v := range ldv {
+			coh[nc].bin = samples[i]
+			nc += int((uint(v-m) - 1) >> 63) // 1 iff v == m (v >= m)
+		}
+		// bkey hoists the height term of tieKey at the cohort height m+1.
+		bkey := nonce ^ uint64(m+1)*0xda942042e4dd58b5
+		topk := sc.sel[:0]
+		var wslot slot // register copy of topk[worst], valid once topk is full
+		worst := 0
+	cohort:
+		for _, c := range coh[:nc] {
+			b := c.bin
+			s := slot{bin: b, height: m + 1, tie: mix64(bkey ^ uint64(b)*0x9e3779b97f4a7c15)}
+			if len(topk) == toPlace && !slotLess(s, wslot) {
+				continue
+			}
+			for _, t := range topk {
+				if t.bin == b {
+					continue cohort
+				}
+			}
+			if len(topk) < toPlace {
+				topk = append(topk, s)
+				if len(topk) < toPlace {
+					continue
+				}
+			} else {
+				topk[worst] = s
+			}
+			worst = worstSlot(topk)
+			wslot = topk[worst]
+		}
+		sc.sel = topk
+		if len(topk) == toPlace {
+			sortSlots(topk)
+			return topk
+		}
+	}
+
 	gt := sc.gtab
 	epoch := gt.nextEpoch()
 	tab := gt.tab
 	stamp := gt.stamp[:len(tab)] // same power-of-two size; ties the lengths for the prover
 	mask := len(tab) - 1
-
-	if toPlace > 0 && toPlace <= 4 && toPlace < len(samples) {
-		// Small-k fast path: selection is fused into the probe scan as a
-		// streaming top-toPlace under the full (height, tie, bin) order —
-		// no slot materialization, no histogram, no second pass. A slot
-		// strictly above the running worst can never enter the selection,
-		// so its tie key is never derived; the surviving set (and, after
-		// the final sort, its ranking) is exactly what the counting path
-		// computes, for ANY height spread — the lazy-tie window exists
-		// only to spare keys, not to define results.
-		topk := sc.sel[:0]
-		worst := -1
-		var wslot slot // register copy of topk[worst]: the compare touches no memory
-		for i, b := range samples {
-			key := uint64(b+1) << 32
-			h := int((uint64(uint32(b)) * 0x9e3779b97f4a7c15) >> 32)
-			var ht int
-			for {
-				if stamp[h&mask] != epoch {
-					stamp[h&mask] = epoch
-					tab[h&mask] = key | 1
-					ht = ldv[i] + 1
-					break
-				}
-				if e := tab[h&mask]; e&^0xffffffff == key {
-					c := int(uint32(e)) + 1
-					tab[h&mask] = e + 1
-					ht = ldv[i] + c
-					break
-				}
-				h++
-			}
-			if worst >= 0 {
-				if ht > wslot.height {
-					continue // cannot contend; tie key never needed
-				}
-				s := slot{bin: b, height: ht, tie: tieKey(nonce, b, ht)}
-				if slotLess(s, wslot) {
-					topk[worst] = s
-					worst = worstSlot(topk)
-					wslot = topk[worst]
-				}
-				continue
-			}
-			topk = append(topk, slot{bin: b, height: ht, tie: tieKey(nonce, b, ht)})
-			if len(topk) == toPlace {
-				worst = worstSlot(topk)
-				wslot = topk[worst]
-			}
-		}
-		sortSlots(topk)
-		sc.sel = topk
-		return topk
-	}
-
 	slots := sc.slots[:len(samples)]
 	minH := int(^uint(0) >> 1)
 	maxH := 0

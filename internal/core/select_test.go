@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -175,4 +176,101 @@ func TestMultiplicityRuleFastKernel(t *testing.T) {
 			t.Fatalf("k=%d d=%d: max height seen %d != max load %d", tc.k, tc.d, rc.maxSeen, pr.MaxLoad())
 		}
 	}
+}
+
+// decodeSelectRound turns fuzz bytes into one round's samples and their
+// loads: picks[i] names bin picks[i] mod len(loads), whose load is
+// loads[bin]·(scale+1). Every sample of a bin reads the same load, as a
+// gather pass would produce.
+func decodeSelectRound(scale uint16, loads, picks []byte) (samples, ldv []int) {
+	samples = make([]int, len(picks))
+	ldv = make([]int, len(picks))
+	for i, p := range picks {
+		b := int(p) % len(loads)
+		samples[i] = b
+		ldv[i] = int(loads[b]) * (int(scale) + 1)
+	}
+	return samples, ldv
+}
+
+// oracleSelect is the definition the selection kernel implements: the c-th
+// sample of bin b is the slot at height load(b)+c, every slot carries the
+// keyed tie of (bin, height), and the toPlace smallest slots under
+// (height, tie, bin) win, ranked ascending.
+func oracleSelect(samples, ldv []int, nonce uint64, toPlace int) []slot {
+	seen := make(map[int]int)
+	slots := make([]slot, 0, len(samples))
+	for i, b := range samples {
+		seen[b]++
+		h := ldv[i] + seen[b]
+		slots = append(slots, slot{bin: b, height: h, tie: tieKey(nonce, b, h)})
+	}
+	sort.Slice(slots, func(i, j int) bool { return slotLess(slots[i], slots[j]) })
+	return slots[:min(toPlace, len(slots))]
+}
+
+// FuzzSelect checks the selection lane (selector.probeAndRank) against
+// oracleSelect over the same samples and loads. The input is one round:
+// nonce, toPlace (taken mod d+2, so it also exceeds d), a load scale, the
+// per-bin loads and the sample picks (see decodeSelectRound). Each round
+// runs twice on one selector, so the group table's epoch reuse is covered
+// too. The seeds pin the cases the min-load cohort pass must get right;
+// `cohort` is the number of distinct bins at the minimum load, which the
+// seed loop checks before adding each seed. Longer sessions:
+//
+//	go test -run '^FuzzSelect$' -fuzz '^FuzzSelect$' -fuzztime 5m ./internal/core
+func FuzzSelect(f *testing.F) {
+	for _, sd := range []struct {
+		name         string
+		nonce        uint64
+		toPlace      uint8
+		scale        uint16
+		loads, picks []byte
+		cohort       int
+		wide         bool // load spread beyond the counting window (sort fallback)
+	}{
+		{"cohort k-1", 1, 2, 0, []byte{0, 1, 1, 1, 2, 1, 1, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7}, 1, false},
+		{"cohort k", 2, 2, 0, []byte{0, 0, 1, 1, 1, 2, 1, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7}, 2, false},
+		{"cohort k+1", 3, 3, 0, []byte{3, 3, 3, 3, 4, 4, 5, 4}, []byte{7, 6, 5, 4, 3, 2, 1, 0}, 4, false},
+		{"cohort k=4", 4, 4, 0, []byte{1, 1, 1, 1, 2, 2, 2, 2}, []byte{4, 0, 5, 1, 6, 2, 7, 3, 0, 4}, 4, false},
+		{"repeats in cohort", 5, 2, 0, []byte{0, 0, 0, 1, 1, 1}, []byte{0, 0, 1, 0, 3, 2, 1, 4, 0, 5}, 3, false},
+		{"repeats, cohort k-1", 6, 2, 0, []byte{0, 1, 1, 1, 1, 1}, []byte{0, 0, 0, 1, 2, 3, 0, 4}, 1, false},
+		{"repeats fill k, one bin", 7, 3, 0, []byte{2, 2, 2, 2}, []byte{1, 1, 1, 1, 1, 1}, 1, false},
+		{"all loads equal", 8, 2, 0, []byte{5, 5, 5, 5, 5, 5, 5, 5}, []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, 6, false},
+		{"all loads equal, k > 4", 9, 6, 0, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9}, 10, false},
+		{"wide spread", 10, 2, 999, []byte{0, 1, 2, 3, 4, 5}, []byte{0, 1, 2, 3, 4, 5}, 1, true},
+		{"wide spread, repeats", 11, 3, 499, []byte{0, 9, 3, 7}, []byte{1, 0, 2, 3, 0, 1}, 1, true},
+		{"k = d", 12, 4, 0, []byte{0, 0, 0, 0}, []byte{0, 1, 2, 3}, 4, false},
+		{"k > d", 13, 4, 0, []byte{0, 1, 2}, []byte{0, 1, 2}, 1, false},
+		{"k = 0", 14, 0, 0, []byte{0, 1}, []byte{0, 1}, 1, false},
+	} {
+		samples, ldv := decodeSelectRound(sd.scale, sd.loads, sd.picks)
+		m := slices.Min(ldv)
+		distinct := make(map[int]bool)
+		for i, b := range samples {
+			if ldv[i] == m {
+				distinct[b] = true
+			}
+		}
+		d := len(samples)
+		if len(distinct) != sd.cohort || (slices.Max(ldv)-m >= 2*d+16) != sd.wide || int(sd.toPlace) >= d+2 {
+			f.Fatalf("seed %q: cohort %d (want %d), spread %d vs window %d (want wide %v), toPlace %d of d %d",
+				sd.name, len(distinct), sd.cohort, slices.Max(ldv)-m, 2*d+16, sd.wide, sd.toPlace, d)
+		}
+		f.Add(sd.nonce, sd.toPlace, sd.scale, sd.loads, sd.picks)
+	}
+	f.Fuzz(func(t *testing.T, nonce uint64, toPlace uint8, scale uint16, loads, picks []byte) {
+		if len(loads) == 0 || len(picks) == 0 || len(picks) > 512 {
+			return
+		}
+		samples, ldv := decodeSelectRound(scale, loads, picks)
+		k := int(toPlace) % (len(samples) + 2)
+		want := oracleSelect(samples, ldv, nonce, k)
+		sc := newSelector(len(samples))
+		for rep := 0; rep < 2; rep++ {
+			if got := sc.probeAndRank(samples, ldv, nonce, k); !slices.Equal(got, want) {
+				t.Fatalf("run %d, toPlace %d, samples %v, loads %v:\n got %v\nwant %v", rep, k, samples, ldv, got, want)
+			}
+		}
+	})
 }

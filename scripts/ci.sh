@@ -3,10 +3,10 @@
 #
 #   scripts/ci.sh          format check, vet, kdlint, build, full tests, a
 #                          tree-wide -race pass, the perfbench module's
-#                          vet + tests, parser fuzz smokes, the
-#                          hot-path escape gate, and quick-mode bench +
-#                          scale smoke runs (exercising every store and
-#                          the pipelined engine end to end)
+#                          vet + tests, parser and selection-kernel
+#                          fuzz smokes, the hot-path escape gate, and
+#                          quick-mode bench + scale smoke runs (exercising
+#                          every store and the pipelined engine end to end)
 #   scripts/ci.sh bench    refresh the tracked benchmark grids
 #                          (BENCH_kd.json, BENCH_scale.json,
 #                          BENCH_serve.json, BENCH_approx.json,
@@ -75,6 +75,9 @@ echo "==> fuzz smoke: spec parsers (10s per target)"
 for target in FuzzParsePolicy FuzzParseStore FuzzParseChurn FuzzParseWeights FuzzParseFaults; do
     go test -run "^${target}$" -fuzz "^${target}$" -fuzztime=10s .
 done
+
+echo "==> fuzz smoke: selection kernel vs sort oracle (10s)"
+go test -run '^FuzzSelect$' -fuzz '^FuzzSelect$' -fuzztime=10s ./internal/core
 
 echo "==> escapecheck: compiler escape verdicts over //kd:hotpath functions"
 scripts/escapecheck.sh
