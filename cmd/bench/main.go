@@ -7,9 +7,9 @@
 // configuration (n, k, d, policy) through the public API, measuring ns per
 // round, heap allocations per round, and placement throughput in balls per
 // second. The grid also times the (k,d)-choice acceptance cell (n = 1e5,
-// k = 2, d = 64) on both slot-selection kernels and under the 4-shard
-// superstep engine, reporting the fast-vs-sort and shards-vs-serial
-// speedups.
+// k = 2, d = 64) under the 4-shard superstep engine, reporting the
+// shards-vs-serial speedup. The fast-vs-sort selection-kernel ratio is a
+// package benchmark: go test -bench BenchmarkRound ./internal/core.
 //
 // The parallel grid (-parallel) is the sharded-engine worker-count series:
 // the kd acceptance cell at Shards = 1, 2, 4, 8, each point reporting its
@@ -98,20 +98,18 @@ type cell struct {
 
 // result is the serialized outcome of one micro-grid cell.
 type result struct {
-	Name            string  `json:"name"`
-	Policy          string  `json:"policy"`
-	N               int     `json:"n"`
-	K               int     `json:"k,omitempty"`
-	D               int     `json:"d,omitempty"`
-	ReferenceSelect bool    `json:"reference_select,omitempty"`
-	Pipeline        bool    `json:"pipeline,omitempty"`
-	Block           int     `json:"block,omitempty"`
-	Shards          int     `json:"shards,omitempty"`
-	NsPerRound      float64 `json:"ns_per_round"`
-	BytesPerRound   int64   `json:"bytes_per_round"`
-	AllocsPerRound  int64   `json:"allocs_per_round"`
-	BallsPerRound   float64 `json:"balls_per_round"`
-	BallsPerSec     float64 `json:"balls_per_sec"`
+	Name           string  `json:"name"`
+	Policy         string  `json:"policy"`
+	N              int     `json:"n"`
+	K              int     `json:"k,omitempty"`
+	D              int     `json:"d,omitempty"`
+	Block          int     `json:"block,omitempty"`
+	Shards         int     `json:"shards,omitempty"`
+	NsPerRound     float64 `json:"ns_per_round"`
+	BytesPerRound  int64   `json:"bytes_per_round"`
+	AllocsPerRound int64   `json:"allocs_per_round"`
+	BallsPerRound  float64 `json:"balls_per_round"`
+	BallsPerSec    float64 `json:"balls_per_sec"`
 }
 
 // report is the BENCH_kd.json schema.
@@ -120,17 +118,12 @@ type report struct {
 	GOOS      string   `json:"goos"`
 	GOARCH    string   `json:"goarch"`
 	Grid      []result `json:"grid"`
-	// SpeedupFastVsSort is ns/round(sort kernel) / ns/round(fast kernel)
-	// on the n=1e5, k=2, d=64 acceptance cell; the floor is 1.5.
-	SpeedupFastVsSort float64 `json:"speedup_fast_vs_sort_n1e5_k2_d64,omitempty"`
 	// SpeedupShardsVsSerial is ns/round(serial fast kernel) / ns/round
 	// (4-shard superstep engine) on the same cell — the headline number of
 	// the sharded engine. On a single-CPU host the shard workers multiplex
 	// one core, so parity or a mild slowdown is the expected reading
 	// there; the engine only pulls ahead with spare cores (see
-	// BENCH_parallel.json for the full worker-count series). It replaces
-	// the retired speedup_pipe_vs_serial field, which had saturated at
-	// parity (~1.0x) on this box.
+	// BENCH_parallel.json for the full worker-count series).
 	SpeedupShardsVsSerial float64 `json:"speedup_shards_vs_serial_n1e5_k2_d64,omitempty"`
 }
 
@@ -149,14 +142,7 @@ func cellName(cfg kdchoice.Config) string {
 	policy := cfg.Policy
 	name := fmt.Sprintf("%v/n=%d", policy, cfg.Bins)
 	if policy == kdchoice.KDChoice {
-		kernel := "fast"
-		if cfg.ReferenceSelect {
-			kernel = "sort"
-		}
-		if cfg.Pipeline {
-			kernel += "+pipe"
-		}
-		name = fmt.Sprintf("kd/%s/n=%d", kernel, cfg.Bins)
+		name = fmt.Sprintf("kd/fast/n=%d", cfg.Bins)
 	}
 	if cfg.K > 0 {
 		name += fmt.Sprintf(",k=%d", cfg.K)
@@ -179,10 +165,9 @@ func cellName(cfg kdchoice.Config) string {
 	return name
 }
 
-// grid returns the tracked micro-benchmark cells. The first two cells are
-// the kernel-ablation pair the fast-vs-sort speedup is computed from; the
-// third is the 4-shard superstep variant of cell 0 for the shards-vs-serial
-// speedup.
+// grid returns the tracked micro-benchmark cells. The first cell is the
+// acceptance cell; the second is its 4-shard superstep variant for the
+// shards-vs-serial speedup.
 func grid(quick bool) []cell {
 	n, small := 100000, 10000
 	if quick {
@@ -190,10 +175,7 @@ func grid(quick bool) []cell {
 	}
 	configs := []kdchoice.Config{
 		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice},
-		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, ReferenceSelect: true},
 		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Shards: 4},
-		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Pipeline: true},
-		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Pipeline: true, Store: kdchoice.StoreCompact},
 		{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreHist},
 		// Superstep ablation: Block=1 pays every per-round fixed cost the
 		// auto-sized superstep amortizes away (results are bit-identical).
@@ -244,19 +226,17 @@ func runCell(c cell) (result, error) {
 	})
 	ns := float64(br.NsPerOp())
 	res := result{
-		Name:            c.Name,
-		Policy:          policy,
-		N:               c.Cfg.Bins,
-		K:               c.Cfg.K,
-		D:               c.Cfg.D,
-		ReferenceSelect: c.Cfg.ReferenceSelect,
-		Pipeline:        c.Cfg.Pipeline,
-		Block:           c.Cfg.Block,
-		Shards:          c.Cfg.Shards,
-		NsPerRound:      ns,
-		BytesPerRound:   br.AllocedBytesPerOp(),
-		AllocsPerRound:  br.AllocsPerOp(),
-		BallsPerRound:   ballsPerRound,
+		Name:           c.Name,
+		Policy:         policy,
+		N:              c.Cfg.Bins,
+		K:              c.Cfg.K,
+		D:              c.Cfg.D,
+		Block:          c.Cfg.Block,
+		Shards:         c.Cfg.Shards,
+		NsPerRound:     ns,
+		BytesPerRound:  br.AllocedBytesPerOp(),
+		AllocsPerRound: br.AllocsPerOp(),
+		BallsPerRound:  ballsPerRound,
 	}
 	if ns > 0 {
 		res.BallsPerSec = ballsPerRound * 1e9 / ns
@@ -278,7 +258,6 @@ type scaleResult struct {
 	Name        string  `json:"name"`
 	Policy      string  `json:"policy"`
 	Store       string  `json:"store"`
-	Pipeline    bool    `json:"pipeline,omitempty"`
 	Block       int     `json:"block,omitempty"`
 	N           int     `json:"n"`
 	K           int     `json:"k"`
@@ -318,7 +297,7 @@ func scaleGrid(quick bool) []scaleCell {
 	}
 	for _, n := range []int{n1, n2} {
 		for _, store := range stores {
-			cfg := kdchoice.Config{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store, Pipeline: true}
+			cfg := kdchoice.Config{Bins: n, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store}
 			cells = append(cells, scaleCell{
 				Name:  fmt.Sprintf("kd/n=%d,k=2,d=64,store=%v", n, store),
 				Cfg:   cfg,
@@ -330,7 +309,7 @@ func scaleGrid(quick bool) []scaleCell {
 	// Heavy load: m = 100n exercises the Theorem 2 regime (gap growth with
 	// m/n) at a cheaper per-ball shape (k=8, d=16).
 	for _, store := range stores {
-		cfg := kdchoice.Config{Bins: heavyN, K: 8, D: 16, Seed: 1, Policy: kdchoice.KDChoice, Store: store, Pipeline: true}
+		cfg := kdchoice.Config{Bins: heavyN, K: 8, D: 16, Seed: 1, Policy: kdchoice.KDChoice, Store: store}
 		cells = append(cells, scaleCell{
 			Name:  fmt.Sprintf("kd-heavy/n=%d,k=8,d=16,m=100n,store=%v", heavyN, store),
 			Cfg:   cfg,
@@ -378,7 +357,6 @@ func runScaleCell(c scaleCell) (scaleResult, error) {
 		Name:        c.Name,
 		Policy:      alloc.Config().Policy.String(),
 		Store:       c.Cfg.Store.String(),
-		Pipeline:    c.Cfg.Pipeline,
 		Block:       c.Cfg.Block,
 		N:           c.Cfg.Bins,
 		K:           c.Cfg.K,
@@ -491,14 +469,14 @@ func approxGrid(quick bool) []scaleCell {
 	for _, store := range []kdchoice.Store{kdchoice.StoreCompact, kdchoice.StoreNibble, kdchoice.StoreSketch} {
 		cells = append(cells, scaleCell{
 			Name:  fmt.Sprintf("kd-approx/n=%d,k=2,d=64,store=%v", n1, store),
-			Cfg:   kdchoice.Config{Bins: n1, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store, Pipeline: true},
+			Cfg:   kdchoice.Config{Bins: n1, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store},
 			Balls: balls1,
 		})
 	}
 	for _, store := range []kdchoice.Store{kdchoice.StoreCompact, kdchoice.StoreNibble} {
 		cells = append(cells, scaleCell{
 			Name:  fmt.Sprintf("kd-approx/n=%d,k=2,d=64,store=%v", n2, store),
-			Cfg:   kdchoice.Config{Bins: n2, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store, Pipeline: true},
+			Cfg:   kdchoice.Config{Bins: n2, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: store},
 			Balls: balls2,
 		})
 	}
@@ -568,7 +546,7 @@ func runCompareApprox(path string, out io.Writer) error {
 	// redirect the ratchet.
 	c := scaleCell{
 		Name:  fmt.Sprintf("kd-approx/n=%d,k=2,d=64,store=%v", 100_000_000, kdchoice.StoreNibble),
-		Cfg:   kdchoice.Config{Bins: 100_000_000, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreNibble, Pipeline: true},
+		Cfg:   kdchoice.Config{Bins: 100_000_000, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreNibble},
 		Balls: 20_000_000,
 	}
 	var prev *approxResult
@@ -951,7 +929,7 @@ func runCompareFaults(path string, out io.Writer) error {
 }
 
 // compareCells returns the cells the -compare ratchet re-times — the
-// serial, 4-shard and pipelined acceptance cells (n=1e5, k=2, d=64) —
+// serial and 4-shard acceptance cells (n=1e5, k=2, d=64) —
 // constructed directly rather than plucked from grid() by index, so
 // reordering or extending the grid can never silently redirect the
 // ratchet. The sharded cell is the parallel-engine ratchet: a >15%
@@ -962,12 +940,9 @@ func compareCells() []cell {
 	serial := kdchoice.Config{Bins: 100000, K: 2, D: 64, Seed: 1, Policy: kdchoice.KDChoice}
 	sharded := serial
 	sharded.Shards = 4
-	pipe := serial
-	pipe.Pipeline = true
 	return []cell{
 		{Name: cellName(serial), Cfg: serial},
 		{Name: cellName(sharded), Cfg: sharded},
-		{Name: cellName(pipe), Cfg: pipe},
 	}
 }
 
@@ -1247,7 +1222,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *scale {
 		if *shardsFlag != 0 {
-			return fmt.Errorf("-shards applies to the micro grid; the scale grid is pipelined round-mode")
+			return fmt.Errorf("-shards applies to the micro grid; the scale grid runs the serial round engine")
 		}
 		return runScale(*quick, *block, *storeFlag, path, out)
 	}
@@ -1332,13 +1307,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%-40s %12.0f ns/round %8.1f balls/round %14.0f balls/sec %3d allocs\n",
 			res.Name, res.NsPerRound, res.BallsPerRound, res.BallsPerSec, res.AllocsPerRound)
 	}
-	if rep.Grid[0].NsPerRound > 0 {
-		rep.SpeedupFastVsSort = rep.Grid[1].NsPerRound / rep.Grid[0].NsPerRound
-		fmt.Fprintf(out, "fast-vs-sort speedup (%s): %.2fx\n", rep.Grid[0].Name, rep.SpeedupFastVsSort)
-	}
-	if rep.Grid[2].NsPerRound > 0 {
-		rep.SpeedupShardsVsSerial = rep.Grid[0].NsPerRound / rep.Grid[2].NsPerRound
-		fmt.Fprintf(out, "shards-vs-serial speedup (%s): %.2fx\n", rep.Grid[2].Name, rep.SpeedupShardsVsSerial)
+	if rep.Grid[1].NsPerRound > 0 {
+		rep.SpeedupShardsVsSerial = rep.Grid[0].NsPerRound / rep.Grid[1].NsPerRound
+		fmt.Fprintf(out, "shards-vs-serial speedup (%s): %.2fx\n", rep.Grid[1].Name, rep.SpeedupShardsVsSerial)
 	}
 	if path == "" {
 		return nil

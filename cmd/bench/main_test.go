@@ -18,20 +18,14 @@ func TestGridShape(t *testing.T) {
 		if len(cells) < 8 {
 			t.Fatalf("quick=%v: grid has %d cells, want >= 8", quick, len(cells))
 		}
-		// The first two cells must be the kernel-ablation pair the speedup
-		// is computed from: same shape, fast vs reference kernel.
-		a, b := cells[0].Cfg, cells[1].Cfg
-		if a.ReferenceSelect || !b.ReferenceSelect {
-			t.Fatalf("quick=%v: cells 0/1 are not the fast/sort pair", quick)
+		// Cell 1 must be the 4-shard variant of the serial acceptance
+		// cell 0 (the shards-vs-serial speedup pair).
+		a, s := cells[0].Cfg, cells[1].Cfg
+		if a.Shards != 0 || a.Policy != kdchoice.KDChoice {
+			t.Fatalf("quick=%v: cell 0 is not the serial kd acceptance cell: %+v", quick, a)
 		}
-		if a.Bins != b.Bins || a.K != b.K || a.D != b.D {
-			t.Fatalf("quick=%v: ablation pair shapes differ: %+v vs %+v", quick, a, b)
-		}
-		// Cell 2 must be the 4-shard variant of cell 0 (the shards-vs-serial
-		// speedup pair).
-		s := cells[2].Cfg
-		if s.Shards != 4 || s.ReferenceSelect || s.Pipeline || s.Bins != a.Bins || s.K != a.K || s.D != a.D {
-			t.Fatalf("quick=%v: cell 2 is not the 4-shard twin of cell 0: %+v", quick, s)
+		if s.Shards != 4 || s.Bins != a.Bins || s.K != a.K || s.D != a.D {
+			t.Fatalf("quick=%v: cell 1 is not the 4-shard twin of cell 0: %+v", quick, s)
 		}
 		for _, c := range cells {
 			if _, err := kdchoice.New(c.Cfg); err != nil {
@@ -86,7 +80,7 @@ func TestRunQuickWritesReport(t *testing.T) {
 	if len(rep.Grid) != len(grid(true)) {
 		t.Fatalf("report has %d cells, want %d", len(rep.Grid), len(grid(true)))
 	}
-	if rep.SpeedupFastVsSort <= 0 {
+	if rep.SpeedupShardsVsSerial <= 0 {
 		t.Fatal("speedup not recorded")
 	}
 	if rep.GoVersion == "" {
@@ -143,7 +137,7 @@ func TestScaleGridShape(t *testing.T) {
 func TestRunScaleCellTiny(t *testing.T) {
 	res, err := runScaleCell(scaleCell{
 		Name:  "tiny",
-		Cfg:   kdchoice.Config{Bins: 4096, K: 2, D: 16, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreCompact, Pipeline: true},
+		Cfg:   kdchoice.Config{Bins: 4096, K: 2, D: 16, Seed: 1, Policy: kdchoice.KDChoice, Store: kdchoice.StoreCompact},
 		Warm:  4096,
 		Balls: 8192,
 	})

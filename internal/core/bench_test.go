@@ -43,8 +43,7 @@ func benchPlace(b *testing.B, policy Policy, p Params) {
 //     keeps loads as flat at 8n as at n;
 //   - k=4, d=16, n placed: few samples per winner, ~40% fallback.
 //
-// TestRoundAllocationFree enforces 0 allocs/round; cmd/bench records the
-// fast-vs-sort ratio of the acceptance cell in BENCH_kd.json.
+// TestRoundAllocationFree enforces 0 allocs/round.
 func BenchmarkRound(b *testing.B) {
 	for _, cell := range []struct{ k, d, placed int }{{2, 64, 100000}, {2, 64, 800000}, {4, 16, 100000}} {
 		for _, tc := range []struct {
@@ -52,7 +51,7 @@ func BenchmarkRound(b *testing.B) {
 			ref  bool
 		}{{"fast", false}, {"sort", true}} {
 			b.Run(fmt.Sprintf("%s/n=100000,k=%d,d=%d,placed=%d", tc.name, cell.k, cell.d, cell.placed), func(b *testing.B) {
-				pr, err := New(KDChoice, Params{N: 100000, K: cell.k, D: cell.d, ReferenceSelect: tc.ref}, xrand.New(1))
+				pr, err := New(KDChoice, Params{N: 100000, K: cell.k, D: cell.d, referenceSelect: tc.ref}, xrand.New(1))
 				if err != nil {
 					b.Fatal(err)
 				}

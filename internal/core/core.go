@@ -29,8 +29,8 @@
 //
 // All processes run over n bins, support m ≥ n balls (the heavily loaded
 // case of Theorem 2), count message cost (number of bin probes, the paper's
-// cost measure), and draw all randomness from an explicit xrand.Source so
-// every run is reproducible.
+// cost measure), and draw all randomness from an explicit seeded
+// *xrand.Rand so every run is reproducible.
 //
 // The bin-load state lives behind the loadvec.Store abstraction
 // (Params.Store): the dense []int reference, the 2-bytes/bin compact store
@@ -41,19 +41,18 @@
 // kernel.go (one dynamic dispatch per round instead of one per bin
 // access); fixed-prologue round policies batch their randomness into
 // supersteps of Params.Block rounds (kernel and engine both bit-identical
-// to the interface/per-round reference paths). Params.Pipeline moves
-// random generation onto a producer goroutine (bit-identical by
-// construction), and Params.Shards engages the sharded superstep engine
-// (shard.go): bins are partitioned across a persistent worker pool, each
-// superstep's randomness is pre-drawn serially, the workers gather owned
-// bins' loads and decide whole rounds in parallel against that frozen
-// snapshot, and placements apply serially in round order. Sharded results
-// are bit-identical for ANY worker count (the merge is positional, not
-// scheduling-dependent); relative to the serial process they are
-// bit-identical wherever the policy's semantics allow (SingleChoice
-// always; the load-coupled round policies at Block = 1) and diverge only
-// by bounded within-block staleness otherwise. StaleBatch accepts any
-// shard count but always runs its serial round (stale.go).
+// to the interface/per-round reference paths). Params.Shards engages the
+// sharded superstep engine (shard.go): bins are partitioned across a
+// persistent worker pool, each superstep's randomness is pre-drawn
+// serially, the workers gather owned bins' loads and decide whole rounds
+// in parallel against that frozen snapshot, and placements apply serially
+// in round order. Sharded results are bit-identical for ANY worker count
+// (the merge is positional, not scheduling-dependent); relative to the
+// serial process they are bit-identical wherever the policy's semantics
+// allow (SingleChoice always; the load-coupled round policies at Block =
+// 1) and diverge only by bounded within-block staleness otherwise.
+// StaleBatch accepts any shard count but always runs its serial round
+// (stale.go).
 package core
 
 import (
@@ -203,13 +202,13 @@ type Params struct {
 	// RandomSigma makes SerializedKD draw a fresh uniformly random σ_r each
 	// round (overrides Sigma).
 	RandomSigma bool
-	// ReferenceSelect switches the round-based policies (KDChoice,
+	// referenceSelect switches the round-based policies (KDChoice,
 	// SerializedKD) to the reference sort-based slot-selection kernel
-	// instead of the default O(d + k log k) counting kernel. Both kernels
-	// consume the random stream identically and induce the same allocation
-	// law (see select.go); the reference kernel exists as the oracle for
-	// equivalence testing and debugging.
-	ReferenceSelect bool
+	// instead of the default counting kernel. Both kernels consume the
+	// random stream identically and induce the same allocation law (see
+	// select.go); the reference kernel is the test oracle, set only by
+	// this package's tests and benchmarks.
+	referenceSelect bool
 	// Store selects the bin-load representation: the dense []int reference
 	// (zero value), the compact 2-bytes/bin store with overflow escape,
 	// the histogram-indexed store with O(1) occupancy statistics, the
@@ -228,13 +227,6 @@ type Params struct {
 	// compares floor(load/Quantum). 0 defaults to 4; 1 reproduces DChoice
 	// bit for bit. Ignored by the other policies.
 	Quantum int
-	// Pipeline moves random generation onto a producer goroutine while the
-	// round loop consumes it: whole pre-drawn supersteps for the
-	// fixed-prologue policies, raw word blocks (xrand.Pipelined) for the
-	// rest. Bit-identical to the serial path by construction. A pipelined
-	// process owns a background goroutine: call Process.Close when done
-	// with it.
-	Pipeline bool
 	// Block is the superstep size of the fixed-prologue round policies
 	// (KDChoice, fixed-σ SerializedKD, DChoice, DynamicKD): rounds are
 	// pre-drawn in blocks of Block rounds — one bulk random fill and one
@@ -282,7 +274,7 @@ type Params struct {
 	// evict-recover). Nil or empty means no faults — bit-identical to a
 	// process built without the field, at zero extra cost. A non-empty
 	// plan forces serial decisions: results are then bit-identical for
-	// ANY Shards/Pipeline/Block setting. Supported by the (k,d) round
+	// ANY Shards/Block setting. Supported by the (k,d) round
 	// family (kd, fixed-σ kd-serialized) and the per-ball serving family
 	// (single, dchoice, dchoice-coarse, oneplusbeta, threshold), scalar
 	// mode only.
@@ -310,9 +302,8 @@ type Observer interface {
 type Process struct {
 	policy Policy
 	p      Params
-	rng    xrand.Source
-	pipe   *xrand.Pipelined // word-level engine (Params.Pipeline fallback)
-	eng    *roundEngine     // superstep engine (fixed-prologue policies)
+	rng    *xrand.Rand
+	eng    *roundEngine // superstep engine (fixed-prologue policies)
 
 	// kern is the store-specialized kernel the round loops dispatch
 	// through: one dynamic call per round, with every bin access inside
@@ -413,7 +404,7 @@ type slot struct {
 }
 
 // New validates params and returns a ready process with all-empty bins.
-func New(policy Policy, p Params, rng xrand.Source) (*Process, error) {
+func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: nil rng")
 	}
@@ -442,15 +433,8 @@ func New(policy Policy, p Params, rng xrand.Source) (*Process, error) {
 	}
 	if faultsActive(p) {
 		// The injector's streams are split off the root stream WITHOUT
-		// advancing it, and the split must happen before any engine takes
-		// rng ownership (a pipelined producer draws concurrently from
-		// here on). Splitting requires the concrete xrand.Rand; every
-		// construction path in the repository passes one.
-		base, ok := rng.(*xrand.Rand)
-		if !ok {
-			return nil, fmt.Errorf("core: fault injection requires a splittable *xrand.Rand root stream, got %T", rng)
-		}
-		pr.flt = faults.NewInjector(*p.Faults, p.N, base)
+		// advancing it.
+		pr.flt = faults.NewInjector(*p.Faults, p.N, rng)
 		if p.Faults.Evict {
 			pr.flt.OnFail = pr.evictBin
 		}
@@ -467,32 +451,12 @@ func New(policy Policy, p Params, rng xrand.Source) (*Process, error) {
 	if shards > 1 {
 		// Sharded superstep engine: randomness stays serially pre-drawn (a
 		// round engine for the fixed-d policies, pr.rng for the rest) and
-		// the decision phase fans out over a persistent worker pool. Only
-		// an async round engine takes rng ownership away from pr.rng.
+		// the decision phase fans out over a persistent worker pool.
 		pr.shard = newShardEngine(policy, p, rng, shards)
-		if pr.shard.eng != nil && !pr.shard.eng.inline {
-			pr.rng = nil
-		} else if pr.shard.eng == nil && p.Pipeline {
-			// Refills draw through pr.rng: prefetch raw words under it.
-			pr.pipe = xrand.NewPipelined(rng, 0, 0)
-			pr.rng = pr.pipe
-		}
 	} else if blockEligible(policy, p) {
-		// Fixed round prologue: pre-draw whole supersteps of rounds. In
-		// inline mode (the default) the engine shares pr.rng and fills
-		// lazily; under Params.Pipeline on a multi-CPU host a producer
-		// goroutine owns the rng from here on — then nil out pr.rng so any
-		// future code path that tries to draw from it alongside the
-		// producer fails fast (nil dereference) instead of racing the
-		// producer goroutine.
-		pr.eng = newRoundEngine(rng, p.N, p.D, blockRounds(p.D, p.Block), p.Pipeline)
-		if !pr.eng.inline {
-			pr.rng = nil
-		}
-	} else if p.Pipeline {
-		// Data-dependent draw pattern: prefetch raw words instead.
-		pr.pipe = xrand.NewPipelined(rng, 0, 0)
-		pr.rng = pr.pipe
+		// Fixed round prologue: pre-draw whole supersteps of rounds. The
+		// engine shares pr.rng and fills lazily.
+		pr.eng = newRoundEngine(rng, p.N, p.D, blockRounds(p.D, p.Block))
 	}
 	if d := p.D; d > 0 {
 		pr.samples = make([]int, d)
@@ -597,9 +561,8 @@ func Validate(policy Policy, p Params) error {
 		return fmt.Errorf("core: Block = %d, must be >= 1 (or 0 for the auto-sized superstep)", p.Block)
 	}
 	if p.Block > 0 && blockEligible(policy, p) {
-		// A superstep buffers Block*D samples per block (several blocks in
-		// flight when pipelined); reject sizes that could only end in an
-		// opaque allocation failure. The product is what matters, so the
+		// A superstep buffers Block*D samples per block; reject sizes that
+		// could only end in an opaque allocation failure. The product is what matters, so the
 		// cap scales down with D. Policies without a fixed prologue never
 		// allocate a superstep, so Block stays ignored there.
 		d := p.D
@@ -734,7 +697,7 @@ func checkPermutation(sigma []int, k int) error {
 
 // MustNew is New but panics on error; intended for tests and examples with
 // constant parameters.
-func MustNew(policy Policy, p Params, rng xrand.Source) *Process {
+func MustNew(policy Policy, p Params, rng *xrand.Rand) *Process {
 	pr, err := New(policy, p, rng)
 	if err != nil {
 		panic(err)
@@ -742,17 +705,10 @@ func MustNew(policy Policy, p Params, rng xrand.Source) *Process {
 	return pr
 }
 
-// Close releases the pipelined random engine's producer goroutine
-// (Params.Pipeline). It is a no-op for serial processes and is idempotent.
-// A closed process must not place further balls; its accessors remain
-// valid.
+// Close releases the sharded engine's worker pool (Params.Shards >= 2).
+// It is a no-op for serial processes and is idempotent. A closed process
+// must not place further balls; its accessors remain valid.
 func (pr *Process) Close() {
-	if pr.pipe != nil {
-		pr.pipe.Close()
-	}
-	if pr.eng != nil {
-		pr.eng.Close()
-	}
 	if pr.shard != nil {
 		pr.shard.Close()
 	}

@@ -25,7 +25,7 @@ func (pr *Process) roundPrologue() uint64 {
 // a prefix of its slots, which is exactly the rule "a bin sampled m times
 // receives at most m balls". Slot selection is delegated to the
 // store-specialized counting kernel (kernel.go/select.go; reference sort
-// kernel behind Params.ReferenceSelect).
+// kernel behind Params.referenceSelect).
 func (pr *Process) roundKD(toPlace int) {
 	nonce := pr.roundPrologue()
 	pr.placeSelected(pr.rankSelectWith(nonce, toPlace))

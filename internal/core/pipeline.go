@@ -13,45 +13,27 @@ package core
 //
 // B comes from Params.Block (0 auto-sizes to ~4096 samples per superstep),
 // which amortizes the fixed per-round costs — generator state loads, Lemire
-// threshold setup, call overhead — across the whole block.
-//
-// The engine runs in one of two modes:
-//
-//   - inline (the default, and always on a single-CPU host): the consumer
-//     fills its local block in place whenever it runs dry. Same records,
-//     same stream order, zero copies, zero goroutines.
-//   - async (Params.Pipeline on a multi-CPU host): a producer goroutine
-//     pre-draws whole blocks ahead of the round loop and hands them through
-//     channels (clean happens-before edges under -race). The consumer
-//     bulk-copies each block into its own buffers when it switches blocks:
-//     one streamed memcpy instead of per-round demand misses on cache lines
-//     still owned by the producer core. Blocks are recycled through a free
-//     list, so the steady state performs zero allocations.
+// threshold setup, call overhead — across the whole block. The consumer
+// fills its block in place whenever it runs dry: zero copies, zero
+// goroutines, and the generator is shared with the owning Process.
 //
 // Policies with data-dependent draw patterns (AdaptiveKD's reservoir ties,
-// RandomSigma's shuffles, SAx0's rank draws, ...) cannot pre-draw rounds.
-// StaleBatch's round is a fixed pattern — one nonce, then one FillIntn of
-// k·D samples — but not the d-samples-then-nonce kdRound record, so it
-// does not use the block engine either. Under Params.Pipeline all of them
-// fall back to the generic word-level prefetcher (xrand.Pipelined), which
-// is bit-identical for any policy.
+// RandomSigma's shuffles, SAx0's rank draws, ...) cannot pre-draw rounds
+// and draw from the generator directly. StaleBatch's round is a fixed
+// pattern — one nonce, then one FillIntn of k·D samples — but not the
+// d-samples-then-nonce kdRound record, so it does not use the block engine
+// either.
 
-import (
-	"runtime"
-	"sync"
-
-	"repro/internal/xrand"
-)
+import "repro/internal/xrand"
 
 // kdRound is the consumer's view of one pre-drawn round, aliasing the
-// consumer-local block; it is valid until the next next() call.
+// engine's block; it is valid until the next next() call.
 type kdRound struct {
 	samples []int
 	nonce   uint64
 }
 
-// kdBlock is one superstep of pre-drawn rounds in flat layout
-// (bulk-copyable).
+// kdBlock is one superstep of pre-drawn rounds in flat layout.
 type kdBlock struct {
 	samples []int    // rounds × d raw samples
 	nonces  []uint64 // rounds
@@ -64,32 +46,17 @@ func newKDBlock(rounds, d int) *kdBlock {
 	}
 }
 
-// copyFrom bulk-copies src into b (one streamed pass per array).
-//
-//kd:hotpath
-func (b *kdBlock) copyFrom(src *kdBlock) {
-	copy(b.samples, src.samples)
-	copy(b.nonces, src.nonces)
-}
-
 // roundEngine produces kdRound records ahead of the round loop.
 type roundEngine struct {
 	d      int
 	rounds int // superstep size B
 
-	// Async mode (Params.Pipeline, extra CPUs): producer + channels.
-	full chan *kdBlock
-	free chan *kdBlock
-	done chan struct{}
-	once sync.Once
+	// rng is shared with the owning Process (pr.rng stays valid for the
+	// non-engine seams).
+	rng *xrand.Rand
+	n   int
 
-	// Inline mode: the consumer fills local itself. rng is shared with the
-	// owning Process (pr.rng stays valid for the non-engine seams).
-	inline bool
-	rng    xrand.Source
-	n      int
-
-	local *kdBlock // consumer-owned copy of the current block
+	local *kdBlock // the current block
 	idx   int
 	cur   kdRound // scratch for next()'s return value
 }
@@ -109,14 +76,10 @@ func blockEligible(policy Policy, p Params) bool {
 	}
 }
 
-// enginePipeDepth is the number of producer blocks in flight (async mode).
-const enginePipeDepth = 3
-
 // maxBlockSamples bounds Params.Block * D, the per-block sample buffer: a
-// superstep past 2^24 samples (128 MB of ints, several blocks in flight
-// when pipelined) would fail as an opaque giant allocation instead of a
-// config error, and is far beyond any amortization benefit (auto-sizing
-// picks a few thousand samples).
+// superstep past 2^24 samples (128 MB of ints) would fail as an opaque
+// giant allocation instead of a config error, and is far beyond any
+// amortization benefit (auto-sizing picks a few thousand samples).
 const maxBlockSamples = 1 << 24
 
 // blockRounds sizes a superstep: Params.Block when set, otherwise ~4096
@@ -150,57 +113,18 @@ func shardBlockRounds(d, block int) int {
 	return r
 }
 
-// newRoundEngine starts the engine over blocks of `rounds` rounds. In
-// inline mode the rng is shared with the caller and drawn from lazily; in
-// async mode (wantAsync on a multi-CPU host) a producer goroutine owns the
-// rng from here on.
-func newRoundEngine(rng xrand.Source, n, d, rounds int, wantAsync bool) *roundEngine {
+// newRoundEngine starts the engine over blocks of `rounds` rounds, drawing
+// lazily from rng (shared with the caller).
+func newRoundEngine(rng *xrand.Rand, n, d, rounds int) *roundEngine {
 	p := &roundEngine{
 		d:      d,
 		rounds: rounds,
+		rng:    rng,
 		n:      n,
 		local:  newKDBlock(rounds, d),
 	}
 	p.idx = rounds // force a refill on the first next()
-	if !wantAsync || runtime.GOMAXPROCS(0) <= 1 {
-		p.inline = true
-		p.rng = rng
-		return p
-	}
-	p.full = make(chan *kdBlock, enginePipeDepth)
-	p.free = make(chan *kdBlock, enginePipeDepth)
-	p.done = make(chan struct{})
-	for i := 0; i < enginePipeDepth; i++ {
-		p.free <- newKDBlock(rounds, d)
-	}
-	go p.produce(rng)
 	return p
-}
-
-// fillBlock pre-draws one superstep into b: per round, exactly
-// FillIntn(samples, n) then one Uint64 nonce — the serial prologue — via
-// the unrolled bulk fill. Shared by the async producer and inline mode, so
-// the two modes cannot diverge.
-func fillBlock(b *kdBlock, rng xrand.Source, n, d int) {
-	rng.FillRounds(b.samples, b.nonces, d, n)
-}
-
-// produce is the async producer loop.
-func (p *roundEngine) produce(rng xrand.Source) {
-	for {
-		var b *kdBlock
-		select {
-		case <-p.done:
-			return
-		case b = <-p.free:
-		}
-		fillBlock(b, rng, p.n, p.d)
-		select {
-		case <-p.done:
-			return
-		case p.full <- b:
-		}
-	}
 }
 
 // next returns the next pre-drawn round. The returned record (and its
@@ -223,7 +147,7 @@ func (p *roundEngine) next() *kdRound {
 // superstep engine (shard.go) consumes blocks wholesale — it decides every
 // round of a block in one parallel phase — so it bypasses the per-round
 // cursor; next() and nextBlock() must not be mixed on one engine. The
-// returned block aliases the consumer-local buffers and is valid until the
+// returned block aliases the engine's buffers and is valid until the
 // following nextBlock call.
 func (p *roundEngine) nextBlock() *kdBlock {
 	p.advance()
@@ -231,34 +155,10 @@ func (p *roundEngine) nextBlock() *kdBlock {
 	return p.local
 }
 
-// advance refills the local block: inline mode draws it directly; async
-// mode takes the next producer block, bulk-copies it, and recycles it
-// immediately (published blocks are drained before honoring Close).
+// advance refills the local block: per round, exactly FillIntn(samples,
+// n) then one Uint64 nonce — the serial prologue — via the unrolled bulk
+// fill.
 func (p *roundEngine) advance() {
-	if p.inline {
-		fillBlock(p.local, p.rng, p.n, p.d)
-		p.idx = 0
-		return
-	}
-	var b *kdBlock
-	select {
-	case b = <-p.full:
-	default:
-		select {
-		case b = <-p.full:
-		case <-p.done:
-			panic("core: pipelined process used after Close")
-		}
-	}
-	p.local.copyFrom(b)
-	p.free <- b
+	p.rng.FillRounds(p.local.samples, p.local.nonces, p.d, p.n)
 	p.idx = 0
-}
-
-// Close stops the producer goroutine (no-op in inline mode). Idempotent.
-func (p *roundEngine) Close() {
-	if p.inline {
-		return
-	}
-	p.once.Do(func() { close(p.done) })
 }

@@ -20,9 +20,9 @@ import "sort"
 //     dense height window, deriving random tie keys lazily — only for
 //     slots at or below the boundary height — via a keyed hash of
 //     (bin, height) under a per-round nonce.
-//   - the reference kernel (Params.ReferenceSelect): the original
-//     sort-everything path, kept as the oracle the fast kernel is tested
-//     against.
+//   - the reference kernel (Params.referenceSelect, set only by this
+//     package's tests and benchmarks): the original sort-everything path,
+//     kept as the oracle the fast kernel is tested against.
 //
 // Both kernels consume the random stream identically (d sample draws plus
 // one nonce draw per round) and order slots by the same total order, so for
@@ -55,7 +55,7 @@ func (pr *Process) rankSelect(toPlace int) []slot {
 //
 //kd:hotpath
 func (pr *Process) rankSelectWith(nonce uint64, toPlace int) []slot {
-	if pr.p.ReferenceSelect {
+	if pr.p.referenceSelect {
 		pr.makeSlots(nonce)
 		sortSlots(pr.slots)
 		if toPlace > len(pr.slots) {

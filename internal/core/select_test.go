@@ -43,7 +43,7 @@ func TestFastSelectMatchesReference(t *testing.T) {
 				}
 				m := (int(multRaw%4) + 1) * n / 2
 				fast := MustNew(policy, Params{N: n, K: k, D: d}, xrand.New(seed))
-				ref := MustNew(policy, Params{N: n, K: k, D: d, ReferenceSelect: true}, xrand.New(seed))
+				ref := MustNew(policy, Params{N: n, K: k, D: d, referenceSelect: true}, xrand.New(seed))
 				fastLog, refLog := &roundLog{}, &roundLog{}
 				fast.SetObserver(fastLog)
 				ref.SetObserver(refLog)
@@ -66,7 +66,7 @@ func TestFastSelectMatchesReferenceHeavy(t *testing.T) {
 	const n, k, d, seed = 96, 3, 9, 1234
 	m := 8*n + 5
 	fast := MustNew(KDChoice, Params{N: n, K: k, D: d}, xrand.New(seed))
-	ref := MustNew(KDChoice, Params{N: n, K: k, D: d, ReferenceSelect: true}, xrand.New(seed))
+	ref := MustNew(KDChoice, Params{N: n, K: k, D: d, referenceSelect: true}, xrand.New(seed))
 	fast.Place(m)
 	ref.Place(m)
 	if !reflect.DeepEqual(fast.Loads(), ref.Loads()) {
@@ -81,7 +81,7 @@ func TestFastSelectMatchesReferenceHeavy(t *testing.T) {
 func TestFastSelectSparseFallback(t *testing.T) {
 	const n, k, d, seed = 32, 2, 6, 7
 	mk := func(reference bool) *Process {
-		pr := MustNew(KDChoice, Params{N: n, K: k, D: d, ReferenceSelect: reference}, xrand.New(seed))
+		pr := MustNew(KDChoice, Params{N: n, K: k, D: d, referenceSelect: reference}, xrand.New(seed))
 		// Extreme imbalance: loads 0, 1000, 2000, ... — any round sampling
 		// two different bins spans far more than the counting window.
 		loads := make([]int, n)
@@ -155,7 +155,7 @@ func TestRoundAllocationFree(t *testing.T) {
 		name string
 		ref  bool
 	}{{"fast", false}, {"sort", true}} {
-		pr := MustNew(KDChoice, Params{N: 4096, K: 2, D: 64, ReferenceSelect: tc.ref}, xrand.New(9))
+		pr := MustNew(KDChoice, Params{N: 4096, K: 2, D: 64, referenceSelect: tc.ref}, xrand.New(9))
 		pr.Place(4096) // warm the scratch buffers
 		if avg := testing.AllocsPerRun(200, pr.Round); avg != 0 {
 			t.Fatalf("%s kernel: %v allocs per round, want 0", tc.name, avg)

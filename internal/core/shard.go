@@ -193,7 +193,7 @@ type shardEngine struct {
 
 // newShardEngine builds the engine and its worker pool. The caller has
 // already validated shardEligible and workers >= 2.
-func newShardEngine(policy Policy, p Params, rng xrand.Source, workers int) *shardEngine {
+func newShardEngine(policy Policy, p Params, rng *xrand.Rand, workers int) *shardEngine {
 	se := &shardEngine{
 		policy:  policy,
 		n:       p.N,
@@ -216,7 +216,7 @@ func newShardEngine(policy Policy, p Params, rng xrand.Source, workers int) *sha
 			se.d = shardDrawWidth(policy)
 		}
 		se.block = shardBlockRounds(se.d, p.Block)
-		se.eng = newRoundEngine(rng, p.N, se.d, se.block, p.Pipeline)
+		se.eng = newRoundEngine(rng, p.N, se.d, se.block)
 		se.ldv = make([]int, se.block*se.d)
 		switch policy {
 		case KDChoice, SerializedKD:
@@ -247,13 +247,9 @@ func newShardEngine(policy Policy, p Params, rng xrand.Source, workers int) *sha
 	return se
 }
 
-// Close stops the worker pool (and the block producer, if async).
-// Idempotent.
+// Close stops the worker pool. Idempotent.
 func (se *shardEngine) Close() {
 	se.pool.Close()
-	if se.eng != nil {
-		se.eng.Close()
-	}
 }
 
 // invalidate drops the undecided-yet-unapplied tail of the current block:

@@ -123,35 +123,6 @@ func TestShardedSingleMatchesSerialAnyBlock(t *testing.T) {
 	}
 }
 
-// TestShardedAsyncPipelineMatchesInline: composing Shards with Pipeline
-// swaps the block source from inline fills to the async producer; the
-// stream (and so the Report) must not change. GOMAXPROCS is forced up so
-// the async engine actually engages on a single-CPU CI host.
-func TestShardedAsyncPipelineMatchesInline(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const seed, m = 90125, 2222
-	for _, tc := range []struct {
-		name   string
-		policy Policy
-		p      Params
-	}{
-		{"kd", KDChoice, Params{N: 200, K: 2, D: 64, Shards: 4}},
-		{"dchoice", DChoice, Params{N: 200, D: 3, Shards: 4}},
-		{"oneplusbeta", OnePlusBeta, Params{N: 200, Beta: 0.4, Shards: 4}},
-		{"single", SingleChoice, Params{N: 200, Shards: 4}},
-	} {
-		ref := MustNew(tc.policy, tc.p, xrand.New(seed))
-		p := tc.p
-		p.Pipeline = true
-		got := MustNew(tc.policy, p, xrand.New(seed))
-		ref.Place(m)
-		got.Place(m)
-		stateEqual(t, tc.name+"/sharded-async", ref, got)
-		ref.Close()
-		got.Close()
-	}
-}
-
 // TestShardedObserverContract: the sharded kd rounds must honor the full
 // observer contract — raw samples in draw order, the multiplicity rule,
 // consistent heights — which the ruleChecker enforces per round.

@@ -9,8 +9,8 @@
 // every configuration onto one pool, so a multi-cell sweep keeps all workers
 // busy even when individual cells have few runs. Results are written into
 // preallocated per-run slots, so the outcome is byte-identical for any
-// worker count. Per-run engine knobs (Params.Store, Params.Pipeline, the
-// Params.Block superstep size, Params.Shards) flow through untouched and
+// worker count. Per-run engine knobs (Params.Store, the Params.Block
+// superstep size, Params.Shards) flow through untouched and
 // are bit-identical by construction, so experiment results never depend on
 // which engine configuration a cell happened to run with.
 //
@@ -248,8 +248,8 @@ func RunAll(workers int, cfgs []Config) ([]*Result, error) {
 		if err != nil {
 			return err
 		}
-		// Release the pipelined engine's producer (no-op otherwise) even on
-		// early exits, so failed batches never leak goroutines.
+		// Release the sharded engine's worker pool (no-op otherwise) even
+		// on early exits, so failed batches never leak goroutines.
 		defer pr.Close()
 		pr.Place(cfg.balls())
 		res := results[cell]

@@ -321,24 +321,10 @@ type Config struct {
 	Sigma []int
 	// RandomSigma draws a fresh random σ every round (Serialized).
 	RandomSigma bool
-	// ReferenceSelect runs the round-based policies on the reference
-	// sort-based slot-selection kernel instead of the default O(d + k log k)
-	// counting kernel. Both induce the same allocation law and, for a fixed
-	// Seed, the same results; the option exists for verification and
-	// benchmarking against the reference implementation.
-	ReferenceSelect bool
 	// Store selects the bin-load representation (StoreDense, StoreCompact,
 	// StoreHist). The zero value is the dense reference; all stores are
 	// bit-identical in outcome for equal seeds.
 	Store Store
-	// Pipeline moves random generation onto a producer goroutine while the
-	// round loop consumes it (whole pre-drawn supersteps for the round
-	// policies, raw word blocks otherwise) — bit-identical to the serial
-	// path by construction, and typically faster for sample-heavy
-	// configurations (large d). A pipelined Allocator owns a background
-	// goroutine: call Close when done with it. Experiment/Sweep/Simulate
-	// manage the lifecycle automatically.
-	Pipeline bool
 	// Block is the superstep size of the fixed-prologue round policies
 	// (KDChoice, fixed-σ Serialized, DChoice, DynamicKD): randomness is
 	// pre-drawn in blocks of Block rounds, amortizing per-round generator
@@ -426,23 +412,21 @@ func (cfg Config) coreConfig() (core.Policy, core.Params, error) {
 		return 0, core.Params{}, fmt.Errorf("kdchoice: D = %d, must be non-negative", cfg.D)
 	}
 	return cp, core.Params{
-		N:               cfg.Bins,
-		K:               cfg.K,
-		D:               cfg.D,
-		Beta:            cfg.Beta,
-		Sigma:           cfg.Sigma,
-		RandomSigma:     cfg.RandomSigma,
-		ReferenceSelect: cfg.ReferenceSelect,
-		Store:           cfg.Store.toKind(),
-		VecDims:         cfg.VecDims,
-		VecNorm:         cfg.VecNorm.toLoadvec(),
-		Pipeline:        cfg.Pipeline,
-		Block:           cfg.Block,
-		Shards:          cfg.Shards,
-		Quantum:         cfg.Quantum,
-		SketchWidth:     cfg.SketchWidth,
-		SketchDepth:     cfg.SketchDepth,
-		Faults:          cfg.Faults,
+		N:           cfg.Bins,
+		K:           cfg.K,
+		D:           cfg.D,
+		Beta:        cfg.Beta,
+		Sigma:       cfg.Sigma,
+		RandomSigma: cfg.RandomSigma,
+		Store:       cfg.Store.toKind(),
+		VecDims:     cfg.VecDims,
+		VecNorm:     cfg.VecNorm.toLoadvec(),
+		Block:       cfg.Block,
+		Shards:      cfg.Shards,
+		Quantum:     cfg.Quantum,
+		SketchWidth: cfg.SketchWidth,
+		SketchDepth: cfg.SketchDepth,
+		Faults:      cfg.Faults,
 	}, nil
 }
 
@@ -558,8 +542,7 @@ func (a *Allocator) BytesPerBin() float64 { return a.pr.Store().BytesPerBin() }
 // random stream, giving an independent fresh run.
 func (a *Allocator) Reset() { a.pr.Reset() }
 
-// Close releases background resources — the pipelined random engine's
-// producer goroutine (Config.Pipeline). It is a no-op for serial
-// allocators and is idempotent; a closed allocator must not place further
-// balls, but its accessors remain valid.
+// Close releases the sharded engine's worker pool (Config.Shards >= 2). It
+// is a no-op for serial allocators and is idempotent; a closed allocator
+// must not place further balls, but its accessors remain valid.
 func (a *Allocator) Close() { a.pr.Close() }

@@ -390,25 +390,3 @@ func TestSimulateZeroPolicyMatchesExplicit(t *testing.T) {
 		t.Fatalf("zero policy %v != explicit KDChoice %v", a.MaxLoads, b.MaxLoads)
 	}
 }
-
-// TestReferenceSelectPublicCoupling: through the public API, the counting
-// kernel and the reference sort kernel must produce identical results for
-// the same seed (the select.go coupling, end to end).
-func TestReferenceSelectPublicCoupling(t *testing.T) {
-	fast, err := New(Config{Bins: 512, K: 4, D: 9, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(Config{Bins: 512, K: 4, D: 9, Seed: 21, ReferenceSelect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast.PlaceAll()
-	ref.PlaceAll()
-	if !reflect.DeepEqual(fast.Loads(), ref.Loads()) {
-		t.Fatal("public-API kernels diverged for equal seeds")
-	}
-	if fast.MaxLoad() != ref.MaxLoad() || fast.Messages() != ref.Messages() {
-		t.Fatal("public-API kernel summaries diverged")
-	}
-}

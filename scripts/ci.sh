@@ -6,7 +6,7 @@
 #                          vet + tests, parser and selection-kernel
 #                          fuzz smokes, the hot-path escape gate, and
 #                          quick-mode bench + scale smoke runs (exercising
-#                          every store and the pipelined engine end to end)
+#                          every store and the superstep engine end to end)
 #   scripts/ci.sh bench    refresh the tracked benchmark grids
 #                          (BENCH_kd.json, BENCH_scale.json,
 #                          BENCH_serve.json, BENCH_approx.json,
@@ -85,7 +85,7 @@ scripts/escapecheck.sh
 echo "==> bench smoke: micro grid (-quick)"
 go run ./cmd/bench -quick -out ''
 
-echo "==> bench smoke: scale grid (-scale -quick; all stores + pipeline)"
+echo "==> bench smoke: scale grid (-scale -quick; all stores)"
 go run ./cmd/bench -scale -quick -out ''
 
 echo "==> bench smoke: explicit superstep sizes (-block 1 and 7, bit-identical engines)"
@@ -118,7 +118,7 @@ go run ./cmd/kdsim -n 4096 -m 20000 -d 2 -beta 1 -runs 2 \
     -churn diurnal:0.0005,0.5 -weights zipf:1.5,64 -store hist
 
 echo "==> perf ratchet: tracked cells vs committed BENCH_kd.json (warns, never fails)"
-# Re-times the serial, 4-shard and pipelined acceptance cells at full size
+# Re-times the serial and 4-shard acceptance cells at full size
 # against the committed trajectory. A >15% regression prints a PERF
 # WARNING but does not fail the pipeline (benchmark boxes are noisy);
 # treat warnings as a prompt to run `scripts/ci.sh bench` and investigate
