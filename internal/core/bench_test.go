@@ -136,3 +136,39 @@ func BenchmarkStaleBatchRound(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRoundBigStore times one (2,64) KD round per op on stores far
+// past the last-level cache — nibble at n = 2^26 (32 MB) and compact at
+// n = 1e7 (20 MB) — where the d-probe gather is DRAM-bound: the in-tree
+// cell of the big-n gather item. The prefetch leg runs the engine's
+// next-round prefetch (on by default above 4 MiB); the noprefetch leg
+// turns it off to isolate what the hint buys. Each process is built once
+// and Reset before timing, which writes every page of the store, so
+// first-touch faults stay out of the reading.
+func BenchmarkRoundBigStore(b *testing.B) {
+	for _, cell := range []struct {
+		store loadvec.StoreKind
+		n     int
+	}{{loadvec.StoreNibble, 1 << 26}, {loadvec.StoreCompact, 10000000}} {
+		var pr *Process
+		for _, pf := range []bool{true, false} {
+			leg := "prefetch"
+			if !pf {
+				leg = "noprefetch"
+			}
+			b.Run(fmt.Sprintf("store=%v/n=%d/%s", cell.store, cell.n, leg), func(b *testing.B) {
+				if pr == nil {
+					pr = MustNew(KDChoice, Params{N: cell.n, K: 2, D: 64, Store: cell.store}, xrand.New(1))
+					pr.Reset()
+					pr.Place(1 << 16)
+				}
+				pr.prefetch = pf
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pr.Round()
+				}
+			})
+		}
+	}
+}

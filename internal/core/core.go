@@ -305,6 +305,11 @@ type Process struct {
 	rng    *xrand.Rand
 	eng    *roundEngine // superstep engine (fixed-prologue policies)
 
+	// prefetch gates the KD round paths' next-round probe prefetch
+	// (prefetch.go): set in New for KDChoice/SerializedKD on the serial
+	// engine when the store holds at least prefetchMinBytes.
+	prefetch bool
+
 	// kern is the store-specialized kernel the round loops dispatch
 	// through: one dynamic call per round, with every bin access inside
 	// devirtualized to the concrete store type (kernel.go).
@@ -457,6 +462,8 @@ func New(policy Policy, p Params, rng *xrand.Rand) (*Process, error) {
 		// Fixed round prologue: pre-draw whole supersteps of rounds. The
 		// engine shares pr.rng and fills lazily.
 		pr.eng = newRoundEngine(rng, p.N, p.D, blockRounds(p.D, p.Block))
+		pr.prefetch = (policy == KDChoice || policy == SerializedKD) &&
+			float64(p.N)*store.BytesPerBin() >= prefetchMinBytes
 	}
 	if d := p.D; d > 0 {
 		pr.samples = make([]int, d)

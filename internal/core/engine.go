@@ -17,6 +17,12 @@ package core
 // fills its block in place whenever it runs dry: zero copies, zero
 // goroutines, and the generator is shared with the owning Process.
 //
+// Because a block holds every future round's samples up to its end, peek
+// hands the KD round paths the next round's probe set while the current
+// round is still running; above the 4 MiB gate the specialized kernels
+// prefetch those bins' cache lines (prefetch.go). The last round of a
+// block peeks nil: looking past it would mean drawing the next block early.
+//
 // Policies with data-dependent draw patterns (AdaptiveKD's reservoir ties,
 // RandomSigma's shuffles, SAx0's rank draws, ...) cannot pre-draw rounds
 // and draw from the generator directly. StaleBatch's round is a fixed
@@ -141,6 +147,18 @@ func (p *roundEngine) next() *kdRound {
 	p.cur.samples = b.samples[i*p.d : (i+1)*p.d]
 	p.cur.nonce = b.nonces[i]
 	return &p.cur
+}
+
+// peek returns the samples of the round the following next call will
+// return, or nil when that call must refill the block first. The slice
+// aliases the block and is valid until the next refill.
+//
+//kd:hotpath
+func (p *roundEngine) peek() []int {
+	if p.idx >= p.rounds {
+		return nil
+	}
+	return p.local.samples[p.idx*p.d : (p.idx+1)*p.d]
 }
 
 // nextBlock refills and returns the whole local block at once. The sharded

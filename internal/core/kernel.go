@@ -50,9 +50,12 @@ type loadElem interface {
 // functions and the store-specialized kernels: one dynamic call per round,
 // with all per-bin work devirtualized inside.
 type kernelOps interface {
-	// fastSelect groups pr.samples, materializes the round's slots, and
-	// returns the toPlace minimum slots ranked ascending (the counting
-	// selection kernel). The result aliases process scratch.
+	// fastSelect gathers the loads of pr.samples and returns the toPlace
+	// minimum slots ranked ascending (the counting selection kernel:
+	// the min-load cohort when it names enough distinct bins, else the
+	// grouped slot count). The dense, compact, hist and nibble kernels
+	// prefetch the engine's next round between the gather and the
+	// selection (prefetch.go). The result aliases process scratch.
 	fastSelect(pr *Process, nonce uint64, toPlace int) []slot
 	// placeSlots commits one ball per selected slot and returns the
 	// observation buffers (nil, nil when no observer is installed).
@@ -127,7 +130,7 @@ const bulkAddMin = 16
 type kernDense struct{ s *loadvec.DenseStore }
 
 func (k kernDense) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
-	return fastSelectTyped(pr, k.s.RawLoads(), -1, nil, nonce, toPlace)
+	return fastSelectTyped(pr, k.s.RawLoads(), -1, nil, pfShiftDense, nonce, toPlace)
 }
 func (k kernDense) dchoiceBest(pr *Process, nonce uint64) int {
 	return argminTyped(pr.samples, k.s.RawLoads(), -1, nil, nonce)
@@ -152,7 +155,7 @@ type kernCompact struct{ s *loadvec.CompactStore }
 
 func (k kernCompact) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	small, wide := k.s.RawLoads()
-	return fastSelectTyped(pr, small, loadvec.CompactEscape, wide, nonce, toPlace)
+	return fastSelectTyped(pr, small, loadvec.CompactEscape, wide, pfShiftCompact, nonce, toPlace)
 }
 func (k kernCompact) dchoiceBest(pr *Process, nonce uint64) int {
 	small, wide := k.s.RawLoads()
@@ -179,7 +182,7 @@ func (k kernCompact) shardGather(samples, ldv []int, lo, hi int) {
 type kernHist struct{ s *loadvec.HistStore }
 
 func (k kernHist) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
-	return fastSelectTyped(pr, k.s.RawLoads(), -1, nil, nonce, toPlace)
+	return fastSelectTyped(pr, k.s.RawLoads(), -1, nil, pfShiftHist, nonce, toPlace)
 }
 func (k kernHist) dchoiceBest(pr *Process, nonce uint64) int {
 	return argminTyped(pr.samples, k.s.RawLoads(), -1, nil, nonce)
@@ -209,6 +212,7 @@ type kernNibble struct{ s *loadvec.NibbleStore }
 func (k kernNibble) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	packed, wide := k.s.RawLoads()
 	gatherNibble(pr.samples, pr.ldv, packed, wide)
+	prefetchNext(pr, packed, pfShiftNibble)
 	return pr.probeAndRank(nonce, toPlace)
 }
 func (k kernNibble) dchoiceBest(pr *Process, nonce uint64) int {
@@ -350,11 +354,14 @@ func (k kernIface) shardGather(samples, ldv []int, lo, hi int) {
 // load-gather pass reads every sampled bin's load through a direct inlined
 // index into the raw array — d independent reads in a tight loop the CPU
 // overlaps at full memory-level parallelism, which is where the interface
-// path loses — and hands off to the shared store-free probe/rank pass.
+// path loses — then prefetches the next round's bins (shift is the raw
+// array's prefetch address shift) and hands off to the shared store-free
+// probe/rank pass.
 //
 //kd:hotpath
-func fastSelectTyped[E loadElem](pr *Process, raw []E, esc int, wide map[int]int, nonce uint64, toPlace int) []slot {
+func fastSelectTyped[E loadElem](pr *Process, raw []E, esc int, wide map[int]int, shift uint, nonce uint64, toPlace int) []slot {
 	gatherTyped(pr.samples, pr.ldv, raw, esc, wide)
+	prefetchNext(pr, raw, shift)
 	return pr.probeAndRank(nonce, toPlace)
 }
 

@@ -392,6 +392,9 @@ func TestRoundAllocationFreeKernels(t *testing.T) {
 		{"nibble/block=3", Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreNibble, Block: 3}},
 		{"sketch/auto", Params{N: 4096, K: 2, D: 64, Store: loadvec.StoreSketch}},
 		{"large-k/auto", Params{N: 4096, K: 16, D: 48}},
+		// Above the 4 MiB prefetch gate: the next-round prefetch legs.
+		{"nibble/n=2^23/auto", Params{N: 1 << 23, K: 2, D: 64, Store: loadvec.StoreNibble}},
+		{"compact/n=2^21/block=7", Params{N: 1 << 21, K: 2, D: 64, Store: loadvec.StoreCompact, Block: 7}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

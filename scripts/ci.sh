@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ci.sh — the repository's check pipeline.
 #
-#   scripts/ci.sh          format check, vet, kdlint, build, full tests, a
+#   scripts/ci.sh          format check, vet, kdlint, build, cross-arch
+#                          vet/builds (arm64, 386, darwin), full tests, a
 #                          tree-wide -race pass, the perfbench module's
 #                          vet + tests, parser and selection-kernel
 #                          fuzz smokes, the hot-path escape gate, and
@@ -50,6 +51,11 @@ go run ./cmd/kdlint ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> cross-arch: arm64 vet (asmdecl on the prefetch routine), 386 and darwin builds (no-op fallbacks)"
+GOARCH=arm64 go vet ./internal/core ./internal/loadvec
+GOARCH=386 go build ./...
+GOOS=darwin go build ./...
 
 echo "==> go test ./..."
 go test ./...
