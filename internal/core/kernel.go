@@ -211,9 +211,9 @@ type kernNibble struct{ s *loadvec.NibbleStore }
 
 func (k kernNibble) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	packed, wide := k.s.RawLoads()
-	gatherNibble(pr.samples, pr.ldv, packed, wide)
+	m := gatherNibble(pr.samples, pr.ldv, packed, wide)
 	prefetchNext(pr, packed, pfShiftNibble)
-	return pr.probeAndRank(nonce, toPlace)
+	return pr.selsc.rankAtMin(pr.samples, pr.ldv, m, nonce, toPlace)
 }
 func (k kernNibble) dchoiceBest(pr *Process, nonce uint64) int {
 	packed, wide := k.s.RawLoads()
@@ -248,7 +248,7 @@ type kernSketch struct{ s *loadvec.SketchStore }
 func (k kernSketch) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	rows, seeds, mask := k.s.RawSketch().Raw()
 	gatherSketch(pr.samples, pr.ldv, rows, seeds, mask)
-	return pr.probeAndRank(nonce, toPlace)
+	return pr.selsc.probeAndRank(pr.samples, pr.ldv, nonce, toPlace)
 }
 func (k kernSketch) dchoiceBest(pr *Process, nonce uint64) int {
 	rows, seeds, mask := k.s.RawSketch().Raw()
@@ -303,7 +303,7 @@ func (k kernIface) fastSelect(pr *Process, nonce uint64, toPlace int) []slot {
 	for i, b := range samples {
 		ldv[i] = k.s.Load(b)
 	}
-	return pr.probeAndRank(nonce, toPlace)
+	return pr.selsc.probeAndRank(samples, ldv, nonce, toPlace)
 }
 func (k kernIface) dchoiceBest(pr *Process, nonce uint64) int {
 	samples := pr.samples
@@ -354,47 +354,54 @@ func (k kernIface) shardGather(samples, ldv []int, lo, hi int) {
 // load-gather pass reads every sampled bin's load through a direct inlined
 // index into the raw array — d independent reads in a tight loop the CPU
 // overlaps at full memory-level parallelism, which is where the interface
-// path loses — then prefetches the next round's bins (shift is the raw
-// array's prefetch address shift) and hands off to the shared store-free
-// probe/rank pass.
+// path loses — and returns their minimum, then prefetches the next round's
+// bins (shift is the raw array's prefetch address shift) and hands off to
+// the shared store-free rank pass.
 //
 //kd:hotpath
 func fastSelectTyped[E loadElem](pr *Process, raw []E, esc int, wide map[int]int, shift uint, nonce uint64, toPlace int) []slot {
-	gatherTyped(pr.samples, pr.ldv, raw, esc, wide)
+	m := gatherTyped(pr.samples, pr.ldv, raw, esc, wide)
 	prefetchNext(pr, raw, shift)
-	return pr.probeAndRank(nonce, toPlace)
+	return pr.selsc.rankAtMin(pr.samples, pr.ldv, m, nonce, toPlace)
 }
 
 // gatherTyped is the shared load-gather loop of the element-typed kernels:
 // it fills ldv[:len(samples)] with the sampled bins' loads via direct
-// inlined indexing.
+// inlined indexing and returns their minimum (taken after the escape is
+// resolved, so it is a load, never the sentinel).
 //
 //kd:hotpath
-func gatherTyped[E loadElem](samples, ldv []int, raw []E, esc int, wide map[int]int) {
+func gatherTyped[E loadElem](samples, ldv []int, raw []E, esc int, wide map[int]int) int {
 	ldv = ldv[:len(samples)]
+	m := int(^uint(0) >> 1)
 	for i, b := range samples {
 		v := int(raw[b])
 		if v == esc {
 			v = wide[b] // compact escape; unreachable otherwise
 		}
 		ldv[i] = v
+		m = min(m, v)
 	}
+	return m
 }
 
 // gatherNibble is the load-gather loop over the packed nibble cells: one
 // shift+mask unpack per read, escape cells (nibble 15) deferring to the
-// wide side table.
+// wide side table. It returns the minimum load, like gatherTyped.
 //
 //kd:hotpath
-func gatherNibble(samples, ldv []int, packed []uint8, wide map[int]int) {
+func gatherNibble(samples, ldv []int, packed []uint8, wide map[int]int) int {
 	ldv = ldv[:len(samples)]
+	m := int(^uint(0) >> 1)
 	for i, b := range samples {
 		v := int(packed[b>>1]>>((b&1)<<2)) & 0xF
 		if v == loadvec.NibbleEscape {
 			v = wide[b]
 		}
 		ldv[i] = v
+		m = min(m, v)
 	}
+	return m
 }
 
 // gatherSketch is the load-gather loop over the raw count-min rows: each
@@ -633,7 +640,7 @@ func placeSlotsOn[S adderStore](pr *Process, st S, sel []slot) (placed, heights 
 }
 
 // groupTab is the reusable epoch-stamped grouping scratch of the counting
-// path of probeAndRank: a slot is live iff its stamp equals the current
+// path of rankAtMin: a slot is live iff its stamp equals the current
 // epoch, so the rounds that reach that path reuse the table with one epoch
 // increment each instead of a clear pass. tab packs (bin+1) in the high 32
 // bits and the sample multiplicity so far in the low 32.

@@ -12,14 +12,15 @@ import "sort"
 //
 //   - the counting kernel, the default: O(d + k log k) expected. The
 //     store-specialized gather in kernel.go reads each sample's load
-//     through a devirtualized store access, and probeAndRank below picks
-//     the slots from those loads alone: for k <= 4 from the samples at the
-//     round's minimum load when they name k distinct bins (the common case
-//     when k << d), else by grouping the samples in an epoch-stamped
-//     table and letting rankFromSlots count heights over the round's
-//     dense height window, deriving random tie keys lazily — only for
-//     slots at or below the boundary height — via a keyed hash of
-//     (bin, height) under a per-round nonce.
+//     through a devirtualized store access and returns their minimum, and
+//     rankAtMin below picks the slots from those loads alone: for k <= 4
+//     from the samples at the round's minimum load when they name k
+//     distinct bins (the common case when k << d), through a top-k kept
+//     sorted by insertion in two fixed arrays, else by grouping the
+//     samples in an epoch-stamped table and letting rankFromSlots count
+//     heights over the round's dense height window, deriving random tie
+//     keys lazily — only for slots at or below the boundary height — via a
+//     keyed hash of (bin, height) under a per-round nonce.
 //   - the reference kernel (Params.referenceSelect, set only by this
 //     package's tests and benchmarks): the original sort-everything path,
 //     kept as the oracle the fast kernel is tested against.
@@ -68,13 +69,14 @@ func (pr *Process) rankSelectWith(nonce uint64, toPlace int) []slot {
 
 // selector owns the scratch of the store-free counting selection kernel:
 // the epoch-stamped group table and the height histogram of the counting
-// path, and the slot buffers (sc.slots also holds the min-load cohort of
-// the small-k pass). It is one DECISION LANE — a serial process owns
-// exactly one, and every worker of the sharded superstep engine owns its
-// own, so concurrent per-round selections never share mutable state. The
-// selector reads only its arguments (samples, pre-gathered loads, the
-// round nonce), never the store, which is what lets the sharded decide
-// phase run over a frozen load snapshot.
+// path, and the slot buffers (sc.slots also holds the compacted min-load
+// cohort of the small-k pass, whose running top-k lives in local arrays).
+// It is one DECISION LANE — a serial process owns exactly one, and every
+// worker of the sharded superstep engine owns its own, so concurrent
+// per-round selections never share mutable state. The selector reads only
+// its arguments (samples, pre-gathered loads, the round nonce), never the
+// store, which is what lets the sharded decide phase run over a frozen load
+// snapshot.
 type selector struct {
 	gtab  *groupTab
 	hist  []int32
@@ -97,38 +99,44 @@ func newSelector(d int) *selector {
 	}
 }
 
-// probeAndRank is the Process-level entry of the counting kernel, used by
-// the serial round paths: it runs the process's own selection lane over
-// pr.samples and the loads the kernel gathered into pr.ldv.
-//
-//kd:hotpath
-func (pr *Process) probeAndRank(nonce uint64, toPlace int) []slot {
-	return pr.selsc.probeAndRank(pr.samples, pr.ldv[:len(pr.samples)], nonce, toPlace)
-}
-
-// probeAndRank is the store-free heart of the counting kernel, shared by
-// every kernel instantiation and every shard worker; ldv holds each
-// sample's load. For toPlace <= 4 it first runs the min-load cohort pass:
-// a bin at the minimum sampled load m owns a slot at height m+1 and every
-// other slot sits at m+2 or above, so if the samples at load m name at
-// least toPlace distinct bins the winners are the toPlace smallest
-// (tie, bin) among them. A branch-free min and compaction find that
-// cohort; a streaming top-k over it derives tie keys at height m+1 and
-// skips a repeat sample of a bin it holds (the repeat's slot is the held
-// one). A smaller cohort falls through to the counting path, the only user
-// of the group table: one scan materializes every slot (the i-th sample of
-// bin b has height load(b)+i; the table counts multiplicity, ldv gives the
-// load) and rankFromSlots ranks them. The (height, tie, bin) order is
-// strict, so both paths select bit-identical slots.
+// probeAndRank is rankAtMin for callers whose gather did not track the
+// minimum load (kernIface, the sketch kernel, the sharded decide phase): it
+// finds m over ldv first.
 //
 //kd:hotpath
 func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) []slot {
 	ldv = ldv[:len(samples)]
+	m := ldv[0]
+	for _, v := range ldv {
+		m = min(m, v)
+	}
+	return sc.rankAtMin(samples, ldv, m, nonce, toPlace)
+}
+
+// rankAtMin is the store-free heart of the counting kernel, shared by every
+// kernel instantiation and every shard worker; ldv holds each sample's load
+// and m is their minimum. For toPlace <= 4 it first runs the min-load
+// cohort pass: a bin at load m owns a slot at height m+1 and every other
+// slot sits at m+2 or above, so if the samples at load m name at least
+// toPlace distinct bins the winners are the toPlace smallest (tie, bin)
+// among them. A branch-free compaction finds that cohort; a running top-k
+// kept sorted by insertion in two fixed (tie, bin) arrays scans it. At one
+// height the tie key is a bijection of the bin (mix64 and the odd
+// multiplier are invertible), so tie order is the (tie, bin) order and an
+// equal tie is the same bin: once the top-k is full, one compare against
+// the last entry rejects a sample, including a repeat of the worst held
+// bin. Only a sample about to be inserted is checked against the other held
+// bins (a repeat's slot is the held one). A smaller cohort falls through to
+// the counting path, the only user of the group table: one scan
+// materializes every slot (the i-th sample of bin b has height load(b)+i;
+// the table counts multiplicity, ldv gives the load) and rankFromSlots
+// ranks them. The (height, tie, bin) order is strict, so both paths select
+// bit-identical slots.
+//
+//kd:hotpath
+func (sc *selector) rankAtMin(samples, ldv []int, m int, nonce uint64, toPlace int) []slot {
+	ldv = ldv[:len(samples)]
 	if toPlace > 0 && toPlace <= 4 {
-		m := ldv[0]
-		for _, v := range ldv {
-			m = min(m, v)
-		}
 		coh := sc.slots[:len(samples)] // the counting path overwrites it
 		nc := 0
 		for i, v := range ldv {
@@ -137,36 +145,37 @@ func (sc *selector) probeAndRank(samples, ldv []int, nonce uint64, toPlace int) 
 		}
 		// bkey hoists the height term of tieKey at the cohort height m+1.
 		bkey := nonce ^ uint64(m+1)*0xda942042e4dd58b5
-		topk := sc.sel[:0]
-		var wslot slot // register copy of topk[worst], valid once topk is full
-		worst := 0
+		var ties [4]uint64
+		var bins [4]int
+		n, last := 0, toPlace-1
 	cohort:
 		for _, c := range coh[:nc] {
 			b := c.bin
-			s := slot{bin: b, height: m + 1, tie: mix64(bkey ^ uint64(b)*0x9e3779b97f4a7c15)}
-			if len(topk) == toPlace && !slotLess(s, wslot) {
-				continue
+			t := mix64(bkey ^ uint64(b)*0x9e3779b97f4a7c15)
+			j := n // the entry the insertion overwrites
+			if n == toPlace {
+				if t >= ties[last] {
+					continue
+				}
+				j = last
 			}
-			for _, t := range topk {
-				if t.bin == b {
+			for _, h := range bins[:j] {
+				if h == b {
 					continue cohort
 				}
 			}
-			if len(topk) < toPlace {
-				topk = append(topk, s)
-				if len(topk) < toPlace {
-					continue
-				}
-			} else {
-				topk[worst] = s
+			if n < toPlace {
+				n++
 			}
-			worst = worstSlot(topk)
-			wslot = topk[worst]
+			topInsert(&ties, &bins, j, t, b)
 		}
-		sc.sel = topk
-		if len(topk) == toPlace {
-			sortSlots(topk)
-			return topk
+		if n == toPlace {
+			sel := sc.sel[:n]
+			for i := range sel {
+				sel[i] = slot{bin: bins[i], height: m + 1, tie: ties[i]}
+			}
+			sc.sel = sel
+			return sel
 		}
 	}
 
@@ -270,9 +279,10 @@ func (sc *selector) rankFromSlots(nonce uint64, toPlace, minH, maxH int) []slot 
 
 	// Gather: everything below the boundary is selected outright; the
 	// boundary cohort is genuinely tied, so only now are tie keys derived.
-	// Small cohorts feed a streaming top-need selection directly (one
-	// comparison per candidate against the running worst in the common
-	// all-tied steady state); large cohorts are gathered and quickselected.
+	// For need <= 4 the cohort feeds the same sorted-insertion top-k as the
+	// min-load pass; its slots are distinct bins (a bin's slots sit at
+	// distinct heights), so it needs no repeat check. Larger cohorts are
+	// gathered and quickselected.
 	// bkey hoists the height term of the boundary cohort's tie keys: every
 	// cohort member shares the boundary height, so its key reduces to one
 	// multiply and the mixer. Identical arithmetic to tieKey.
@@ -280,7 +290,9 @@ func (sc *selector) rankFromSlots(nonce uint64, toPlace, minH, maxH int) []slot 
 	sel := sc.sel[:0]
 	bnd := sc.bnd[:0]
 	if need <= 4 {
-		worst := -1
+		var ties [4]uint64
+		var bins [4]int
+		n, last := 0, need-1
 		for i := range slots {
 			s := slots[i]
 			if s.height > boundary {
@@ -291,20 +303,21 @@ func (sc *selector) rankFromSlots(nonce uint64, toPlace, minH, maxH int) []slot 
 				sel = append(sel, s)
 				continue
 			}
-			s.tie = mix64(bkey ^ uint64(s.bin)*0x9e3779b97f4a7c15)
-			if len(bnd) < need {
-				bnd = append(bnd, s)
-				if len(bnd) == need {
-					worst = worstSlot(bnd)
+			t := mix64(bkey ^ uint64(s.bin)*0x9e3779b97f4a7c15)
+			j := n
+			if n == need {
+				if t >= ties[last] {
+					continue
 				}
-				continue
+				j = last
+			} else {
+				n++
 			}
-			if slotLess(s, bnd[worst]) {
-				bnd[worst] = s
-				worst = worstSlot(bnd)
-			}
+			topInsert(&ties, &bins, j, t, s.bin)
 		}
-		sel = append(sel, bnd...)
+		for i := 0; i < need; i++ {
+			sel = append(sel, slot{bin: bins[i], height: boundary, tie: ties[i]})
+		}
 	} else {
 		for i := range slots {
 			s := slots[i]
@@ -333,46 +346,25 @@ func (sc *selector) rankFromSlots(nonce uint64, toPlace, minH, maxH int) []slot 
 	return sel
 }
 
-// worstSlot returns the index of the largest element under the slot total
-// order (the streaming top-k's replacement candidate).
+// topInsert places (t, b) into the running top-k arrays, kept ascending by
+// tie key: entry j (the free entry, or the worst one being evicted) is
+// overwritten after every entry with a larger key above it shifts one place
+// toward the end.
 //
 //kd:hotpath
-func worstSlot(s []slot) int {
-	worst := 0
-	for i := 1; i < len(s); i++ {
-		if slotLess(s[worst], s[i]) {
-			worst = i
-		}
+func topInsert(ties *[4]uint64, bins *[4]int, j int, t uint64, b int) {
+	for ; j > 0 && t < ties[j-1]; j-- {
+		ties[j], bins[j] = ties[j-1], bins[j-1]
 	}
-	return worst
+	ties[j], bins[j] = t, b
 }
 
 // selectSmallestSlots partially sorts s so that s[:k] holds its k smallest
-// elements under the slot total order. Small k uses a single streaming pass
-// that keeps the running top-k in the prefix — the common boundary cohort
-// in steady state is "every slot tied at one height" (the process keeps
-// loads flat), where one comparison per candidate against the running worst
-// beats k min-scan passes — larger k uses expected-O(len) quickselect. Both
-// compute the same smallest-k SET, and the caller sorts the final
-// selection, so the choice cannot affect results.
+// elements under the slot total order, by expected-O(len) quickselect. The
+// caller sorts the final selection, so only the SET matters.
 //
 //kd:hotpath
 func selectSmallestSlots(s []slot, k int) {
-	if k <= 0 {
-		return
-	}
-	if k < len(s) && k <= 4 {
-		// worst is the index of the largest element of the running top-k
-		// prefix; most candidates lose one comparison against it and move on.
-		worst := worstSlot(s[:k])
-		for j := k; j < len(s); j++ {
-			if slotLess(s[j], s[worst]) {
-				s[worst], s[j] = s[j], s[worst]
-				worst = worstSlot(s[:k])
-			}
-		}
-		return
-	}
 	for k > 0 && k < len(s) && len(s) > 12 {
 		p := partitionSlots(s)
 		switch {

@@ -209,14 +209,43 @@ func oracleSelect(samples, ldv []int, nonce uint64, toPlace int) []slot {
 	return slots[:min(toPlace, len(slots))]
 }
 
+// heldRepeatAfterFull streams one round's min-load cohort through a
+// reference top-toPlace, held ascending by tie key at the cohort height,
+// and reports whether a sample repeats a held bin after the top-k is full:
+// a held bin other than the worst (the cohort pass's repeat check), or the
+// single held bin when toPlace is 1 (its threshold compare).
+func heldRepeatAfterFull(samples, ldv []int, nonce uint64, toPlace int) bool {
+	if toPlace < 1 || toPlace > 4 {
+		return false
+	}
+	m := slices.Min(ldv)
+	var held []int
+	for i, b := range samples {
+		if ldv[i] != m {
+			continue
+		}
+		if j := slices.Index(held, b); j >= 0 {
+			if len(held) == toPlace && (j < toPlace-1 || toPlace == 1) {
+				return true
+			}
+			continue
+		}
+		held = append(held, b)
+		sort.Slice(held, func(x, y int) bool { return tieKey(nonce, held[x], m+1) < tieKey(nonce, held[y], m+1) })
+		held = held[:min(len(held), toPlace)]
+	}
+	return false
+}
+
 // FuzzSelect checks the selection lane (selector.probeAndRank) against
 // oracleSelect over the same samples and loads. The input is one round:
 // nonce, toPlace (taken mod d+2, so it also exceeds d), a load scale, the
 // per-bin loads and the sample picks (see decodeSelectRound). Each round
 // runs twice on one selector, so the group table's epoch reuse is covered
 // too. The seeds pin the cases the min-load cohort pass must get right;
-// `cohort` is the number of distinct bins at the minimum load, which the
-// seed loop checks before adding each seed. Longer sessions:
+// `cohort` is the number of distinct bins at the minimum load and
+// `heldRepeat` is heldRepeatAfterFull, both of which the seed loop checks
+// before adding each seed. Longer sessions:
 //
 //	go test -run '^FuzzSelect$' -fuzz '^FuzzSelect$' -fuzztime 5m ./internal/core
 func FuzzSelect(f *testing.F) {
@@ -228,21 +257,26 @@ func FuzzSelect(f *testing.F) {
 		loads, picks []byte
 		cohort       int
 		wide         bool // load spread beyond the counting window (sort fallback)
+		heldRepeat   bool
 	}{
-		{"cohort k-1", 1, 2, 0, []byte{0, 1, 1, 1, 2, 1, 1, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7}, 1, false},
-		{"cohort k", 2, 2, 0, []byte{0, 0, 1, 1, 1, 2, 1, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7}, 2, false},
-		{"cohort k+1", 3, 3, 0, []byte{3, 3, 3, 3, 4, 4, 5, 4}, []byte{7, 6, 5, 4, 3, 2, 1, 0}, 4, false},
-		{"cohort k=4", 4, 4, 0, []byte{1, 1, 1, 1, 2, 2, 2, 2}, []byte{4, 0, 5, 1, 6, 2, 7, 3, 0, 4}, 4, false},
-		{"repeats in cohort", 5, 2, 0, []byte{0, 0, 0, 1, 1, 1}, []byte{0, 0, 1, 0, 3, 2, 1, 4, 0, 5}, 3, false},
-		{"repeats, cohort k-1", 6, 2, 0, []byte{0, 1, 1, 1, 1, 1}, []byte{0, 0, 0, 1, 2, 3, 0, 4}, 1, false},
-		{"repeats fill k, one bin", 7, 3, 0, []byte{2, 2, 2, 2}, []byte{1, 1, 1, 1, 1, 1}, 1, false},
-		{"all loads equal", 8, 2, 0, []byte{5, 5, 5, 5, 5, 5, 5, 5}, []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, 6, false},
-		{"all loads equal, k > 4", 9, 6, 0, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9}, 10, false},
-		{"wide spread", 10, 2, 999, []byte{0, 1, 2, 3, 4, 5}, []byte{0, 1, 2, 3, 4, 5}, 1, true},
-		{"wide spread, repeats", 11, 3, 499, []byte{0, 9, 3, 7}, []byte{1, 0, 2, 3, 0, 1}, 1, true},
-		{"k = d", 12, 4, 0, []byte{0, 0, 0, 0}, []byte{0, 1, 2, 3}, 4, false},
-		{"k > d", 13, 4, 0, []byte{0, 1, 2}, []byte{0, 1, 2}, 1, false},
-		{"k = 0", 14, 0, 0, []byte{0, 1}, []byte{0, 1}, 1, false},
+		{"cohort k-1", 1, 2, 0, []byte{0, 1, 1, 1, 2, 1, 1, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7}, 1, false, false},
+		{"cohort k", 2, 2, 0, []byte{0, 0, 1, 1, 1, 2, 1, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 7}, 2, false, false},
+		{"cohort k+1", 3, 3, 0, []byte{3, 3, 3, 3, 4, 4, 5, 4}, []byte{7, 6, 5, 4, 3, 2, 1, 0}, 4, false, false},
+		{"cohort k=4", 4, 4, 0, []byte{1, 1, 1, 1, 2, 2, 2, 2}, []byte{4, 0, 5, 1, 6, 2, 7, 3, 0, 4}, 4, false, true},
+		{"repeats in cohort", 5, 2, 0, []byte{0, 0, 0, 1, 1, 1}, []byte{0, 0, 1, 0, 3, 2, 1, 4, 0, 5}, 3, false, true},
+		{"repeats, cohort k-1", 6, 2, 0, []byte{0, 1, 1, 1, 1, 1}, []byte{0, 0, 0, 1, 2, 3, 0, 4}, 1, false, false},
+		{"repeats fill k, one bin", 7, 3, 0, []byte{2, 2, 2, 2}, []byte{1, 1, 1, 1, 1, 1}, 1, false, false},
+		{"all loads equal", 8, 2, 0, []byte{5, 5, 5, 5, 5, 5, 5, 5}, []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, 6, false, true},
+		{"all loads equal, k > 4", 9, 6, 0, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9}, 10, false, false},
+		{"wide spread", 10, 2, 999, []byte{0, 1, 2, 3, 4, 5}, []byte{0, 1, 2, 3, 4, 5}, 1, true, false},
+		{"wide spread, repeats", 11, 3, 499, []byte{0, 9, 3, 7}, []byte{1, 0, 2, 3, 0, 1}, 1, true, false},
+		{"k = d", 12, 4, 0, []byte{0, 0, 0, 0}, []byte{0, 1, 2, 3}, 4, false, false},
+		{"k > d", 13, 4, 0, []byte{0, 1, 2}, []byte{0, 1, 2}, 1, false, false},
+		{"k = 0", 14, 0, 0, []byte{0, 1}, []byte{0, 1}, 1, false, false},
+		{"held repeat, k=1", 15, 1, 0, []byte{2, 2, 2, 3, 2, 4}, []byte{0, 1, 2, 3, 4, 5, 4, 2, 1, 0, 3}, 4, false, true},
+		{"held repeat, k=2", 16, 2, 0, []byte{1, 1, 1, 1, 1, 2, 2}, []byte{6, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4}, 5, false, true},
+		{"held repeat, k=3", 17, 3, 0, []byte{0, 0, 0, 0, 0, 0, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 0}, 6, false, true},
+		{"held repeat, k=4", 18, 4, 0, []byte{3, 3, 3, 3, 3, 3, 3, 3}, []byte{7, 6, 5, 4, 3, 2, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7}, 8, false, true},
 	} {
 		samples, ldv := decodeSelectRound(sd.scale, sd.loads, sd.picks)
 		m := slices.Min(ldv)
@@ -256,6 +290,9 @@ func FuzzSelect(f *testing.F) {
 		if len(distinct) != sd.cohort || (slices.Max(ldv)-m >= 2*d+16) != sd.wide || int(sd.toPlace) >= d+2 {
 			f.Fatalf("seed %q: cohort %d (want %d), spread %d vs window %d (want wide %v), toPlace %d of d %d",
 				sd.name, len(distinct), sd.cohort, slices.Max(ldv)-m, 2*d+16, sd.wide, sd.toPlace, d)
+		}
+		if got := heldRepeatAfterFull(samples, ldv, sd.nonce, int(sd.toPlace)); got != sd.heldRepeat {
+			f.Fatalf("seed %q: held repeat after the top-k is full: %v, want %v", sd.name, got, sd.heldRepeat)
 		}
 		f.Add(sd.nonce, sd.toPlace, sd.scale, sd.loads, sd.picks)
 	}

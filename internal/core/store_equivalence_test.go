@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -286,6 +287,61 @@ func TestCompactStoreEscapeUnderProcess(t *testing.T) {
 	stateEqual(t, "escape", ref, got)
 	if got.MaxLoad() <= 65535 {
 		t.Fatalf("test did not cross the escape threshold (max %d)", got.MaxLoad())
+	}
+}
+
+// TestGatherMinMatchesLoads pins the minimum the specialized gathers
+// return, which the min-load cohort pass trusts as its m: on every store
+// they cover it must equal slices.Min of the loads they gathered, and each
+// gathered load must be the store's own. Escaped cells (compact at 65535
+// and above, nibble at 15 and above) sit in the sample sets, some of which
+// hold only escaped bins, so a min taken over the raw cell would read the
+// sentinel instead of the wide load.
+func TestGatherMinMatchesLoads(t *testing.T) {
+	loads := []int{3, 0, 70000, 65536, 65535, 7, 20, 16, 15, 14, 1 << 20}
+	sampleSets := [][]int{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		{2, 3, 2}, // compact: escaped only, all above the sentinel
+		{6, 7, 6}, // nibble: escaped only, all above the sentinel
+		{4, 8, 2},
+		{10, 2, 0},
+		{8, 9, 5},
+		{1},
+	}
+	for _, kind := range []loadvec.StoreKind{loadvec.StoreDense, loadvec.StoreCompact, loadvec.StoreHist, loadvec.StoreNibble} {
+		st, err := loadvec.NewStore(kind, len(loads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, l := range loads {
+			if l > 0 {
+				st.AddN(b, l)
+			}
+		}
+		for _, samples := range sampleSets {
+			ldv := make([]int, len(samples))
+			var m int
+			switch s := st.(type) {
+			case *loadvec.DenseStore:
+				m = gatherTyped(samples, ldv, s.RawLoads(), -1, nil)
+			case *loadvec.CompactStore:
+				small, wide := s.RawLoads()
+				m = gatherTyped(samples, ldv, small, loadvec.CompactEscape, wide)
+			case *loadvec.HistStore:
+				m = gatherTyped(samples, ldv, s.RawLoads(), -1, nil)
+			case *loadvec.NibbleStore:
+				packed, wide := s.RawLoads()
+				m = gatherNibble(samples, ldv, packed, wide)
+			}
+			for i, b := range samples {
+				if ldv[i] != loads[b] {
+					t.Fatalf("%v: gathered load of bin %d = %d, want %d", kind, b, ldv[i], loads[b])
+				}
+			}
+			if want := slices.Min(ldv); m != want {
+				t.Fatalf("%v samples %v: gather min %d, want %d", kind, samples, m, want)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // Table 1, the Figure 1/2 load-vector profiles, the per-theorem scaling
 // studies, the tradeoff frontier, the Section 1.3 application comparisons
 // and the Section 7 ablation — as reusable functions shared by the command
-// line tools, the benchmark harness and EXPERIMENTS.md generation.
+// line tools, the benchmark harness and the cmd/experiments report.
 //
 // The simulation experiments are built entirely on the public kdchoice
 // Experiment API: each study assembles its grid of cells once and runs
@@ -145,8 +145,8 @@ func Table1Render(cells []Table1Cell) *table.Table {
 }
 
 // PaperTable1 returns the values published in the paper's Table 1 keyed by
-// (k, d) — used by EXPERIMENTS.md and the comparison tests. Cells the paper
-// leaves blank are absent.
+// (k, d) — used by the cmd/experiments report and the comparison tests.
+// Cells the paper leaves blank are absent.
 func PaperTable1() map[[2]int][]int {
 	return map[[2]int][]int{
 		{1, 1}: {7, 8, 9}, {1, 2}: {3, 4}, {1, 3}: {3}, {1, 5}: {2}, {1, 9}: {2},

@@ -1,6 +1,6 @@
 // Package table renders aligned plain-text, Markdown and CSV tables for the
-// command-line tools and for EXPERIMENTS.md. It has no knowledge of the
-// experiments themselves.
+// command-line tools and for the cmd/experiments report. It has no
+// knowledge of the experiments themselves.
 package table
 
 import (

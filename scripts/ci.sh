@@ -5,9 +5,11 @@
 #                          vet/builds (arm64, 386, darwin), full tests, a
 #                          tree-wide -race pass, the perfbench module's
 #                          vet + tests, parser and selection-kernel
-#                          fuzz smokes, the hot-path escape gate, and
-#                          quick-mode bench + scale smoke runs (exercising
-#                          every store and the superstep engine end to end)
+#                          fuzz smokes, a one-iteration run of the
+#                          in-tree round benchmarks, the hot-path escape
+#                          gate, and quick-mode bench + scale smoke runs
+#                          (exercising every store and the superstep
+#                          engine end to end)
 #   scripts/ci.sh bench    refresh the tracked benchmark grids
 #                          (BENCH_kd.json, BENCH_scale.json,
 #                          BENCH_serve.json, BENCH_approx.json,
@@ -84,6 +86,11 @@ done
 
 echo "==> fuzz smoke: selection kernel vs sort oracle (10s)"
 go test -run '^FuzzSelect$' -fuzz '^FuzzSelect$' -fuzztime=10s ./internal/core
+
+echo "==> bench smoke: in-tree round layer cells (BenchmarkRound, BenchmarkRoundBigStore; one iteration each)"
+# Keeps the layer benchmarks compiling and running; -benchtime 1x times
+# nothing worth reading. BenchmarkRoundBigStore allocates ~55 MB of stores.
+go test -run '^$' -bench 'BenchmarkRound$|BenchmarkRoundBigStore$' -benchtime 1x ./internal/core
 
 echo "==> escapecheck: compiler escape verdicts over //kd:hotpath functions"
 scripts/escapecheck.sh
